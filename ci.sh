@@ -172,13 +172,13 @@ done
 echo "profiled report matches the unprofiled run; profile JSON schema present"
 
 echo "== query service smoke =="
-# The thread-per-core query service end to end over loopback:
-# concurrent keep-alive clients get correct answers, malformed queries
-# get typed 400s, unknown endpoints 404, the scrape carries the
-# dbr_service_* families, and /quitquitquit shuts down cleanly with an
-# end-of-run metrics dump on stdout (see docs/OBSERVABILITY.md
-# "Serving traffic").
-./target/release/dbr serve 2 --listen 127.0.0.1:0 --threads 2 \
+# The query service end to end over loopback: concurrent keep-alive
+# clients get correct answers, an oversized request target gets 414
+# without disturbing later requests, malformed queries get typed 400s,
+# unknown endpoints 404, the scrape carries the dbr_service_* families,
+# and /quitquitquit shuts down cleanly with an end-of-run metrics dump
+# on stdout (see docs/OBSERVABILITY.md "Serving traffic").
+./target/release/dbr serve 2 --listen 127.0.0.1:0 \
     > "$smoke_dir/serve.txt" 2> "$smoke_dir/serve.err" &
 listen_pid=$!
 addr=""
@@ -207,6 +207,10 @@ done
 for pid in $client_pids; do
     wait "$pid" || { echo "serve smoke: a client batch failed"; exit 1; }
 done
+# A 16 KiB request target exceeds the 8 KiB request-line cap.
+long_target=$(printf '%16384s' '' | tr ' ' 'a')
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/$long_target")
+[ "$code" = "414" ] || { echo "serve smoke: 16 KiB target gave $code, want 414"; exit 1; }
 dist=$(curl -fsS "http://$addr/distance?x=00000000&y=11111111")
 if [ "$dist" != "8" ]; then
     echo "serve smoke: distance(00000000,11111111) = '$dist', want 8"

@@ -1,35 +1,25 @@
-//! Loopback throughput of the thread-per-core query service: sixteen
-//! keep-alive HTTP clients hammering `/route` and `/distance` on
-//! `DG(2,16)`, against two architectures of the same [`Dispatcher`]:
+//! Loopback throughput of the query service: sixteen keep-alive HTTP
+//! clients hammering `/route` and `/distance` on `DG(2,16)`, answered
+//! inline on the connection threads through the destination-sharded
+//! route caches.
 //!
-//! * `sharded_batched` — the shipping configuration: one private
-//!   clock-ring route cache per worker (destination-hash sharding,
-//!   zero shared locks on the hot path) and batched queue drains;
-//! * `shared_unbatched` — the pre-sharding baseline: one global queue
-//!   and one mutex-guarded cache all workers contend on, drained one
-//!   query per wakeup.
+//! Two workloads: uniform random pairs, and a destination-skewed one
+//! (`workload::zipf`, `--zipf-exponent`, default 1.0) whose hot sinks
+//! concentrate on few cache shards (`*_zipf` series). Each reports QPS
+//! plus client-observed p50/p99 latency, the median over the runs.
 //!
-//! The two configurations' runs are interleaved (A,B,A,B,...) so
-//! machine drift lands on both sides of the comparison equally. Both
-//! run twice: once over uniform random pairs and once over a
-//! destination-skewed workload (`workload::zipf`, `--zipf-exponent`,
-//! default 1.0) whose hot sinks concentrate on few cache shards and
-//! feed the workers' destination-major batch drains (`*_zipf` series).
-//!
-//! Reports QPS for both plus client-observed p50/p99 latency. QPS is a
-//! higher-is-better series, so `bench.sh --check` excludes it from the
-//! lower-is-better regression comparison via `--ns-only` and instead
-//! gates it inside this binary: `--min-qps-ratio N` exits non-zero if
-//! the sharded+batched path fails to beat the shared-cache baseline by
-//! `N`x (self-skipped on single-core hosts, where the worker pool
-//! cannot express parallelism; the skip and its reason land in the
-//! emitted JSON as a `"skipped"` field).
+//! QPS is a higher-is-better series, so `bench.sh --check` excludes it
+//! from the lower-is-better regression comparison via `--ns-only`. The
+//! in-process gate is a ratio instead: `--max-query-over-healthz R`
+//! exits non-zero if a query's p50 latency exceeds `R` times a
+//! `/healthz` p50 measured interleaved with it (query, healthz, query,
+//! ...) on the same connections. `/healthz` is the HTTP round trip with
+//! no routing work, so the ratio prices what a query adds to it —
+//! parsing, admission, the cache shard and the solve — on any machine.
 //!
 //! Every response is asserted byte-identical to the single-threaded
 //! direct-engine answer — the bench doubles as a load-level
 //! determinism check.
-//!
-//! [`Dispatcher`]: debruijn_net::service::Dispatcher
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -46,9 +36,11 @@ const D: u8 = 2;
 const K: usize = 16;
 const PAIRS: usize = 256;
 const CLIENTS: usize = 16;
-const WORKERS: usize = 4;
 const PASSES: usize = 2;
 const RUNS: usize = 7;
+/// Connections in the query-over-healthz probe, each alternating the
+/// two requests.
+const PROBE_CLIENTS: usize = 2;
 
 /// The number following `flag`, if present.
 fn flag_value(flag: &str) -> Option<f64> {
@@ -95,8 +87,7 @@ fn request_list() -> Vec<(String, String)> {
 /// A destination-skewed request list: `workload::zipf` draws the
 /// destinations Zipf(`exponent`)-style over all of `DG(D,K)`, so a few
 /// hot sinks dominate — convergecast-shaped traffic that concentrates on
-/// few cache shards and rewards the workers' destination-major batch
-/// drains.
+/// few cache shards.
 fn zipf_request_list(exponent: f64) -> Vec<(String, String)> {
     let space = DeBruijn::new(D, K).expect("bench space is valid");
     let pairs = workload::zipf(space, PAIRS, exponent, 0xDB)
@@ -106,95 +97,121 @@ fn zipf_request_list(exponent: f64) -> Vec<(String, String)> {
     requests_from(pairs)
 }
 
-/// One keep-alive connection issuing `PASSES` passes over `requests`,
-/// asserting every body and recording per-request latency (ns).
-fn run_client(addr: SocketAddr, requests: &[(String, String)]) -> Vec<u64> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut latencies = Vec::with_capacity(PASSES * requests.len());
-    for _ in 0..PASSES {
-        for (target, expected) in requests {
-            let start = Instant::now();
-            write!(stream, "GET {target} HTTP/1.1\r\nHost: dbr\r\n\r\n").unwrap();
-            let mut status_line = String::new();
-            reader.read_line(&mut status_line).unwrap();
-            assert!(status_line.starts_with("HTTP/1.1 200"), "{status_line}");
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                if line == "\r\n" || line.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = line.split_once(':') {
-                    if name.eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap();
-                    }
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
-            latencies.push(start.elapsed().as_nanos() as u64);
-            assert_eq!(body, expected.as_bytes(), "{target}");
-        }
-    }
-    latencies
+/// One keep-alive connection.
+struct Conn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
-/// One timed run against a freshly bound service: returns the QPS over
-/// all clients plus every client-observed latency sample.
-fn run_once(config: &ServiceConfig, requests: &Arc<Vec<(String, String)>>) -> (f64, Vec<u64>) {
+impl Conn {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Self { stream, reader }
+    }
+
+    /// One `GET target` exchange, asserting a 200 with body `expected`;
+    /// returns the client-observed latency in ns.
+    fn exchange(&mut self, target: &str, expected: &str) -> u64 {
+        let start = Instant::now();
+        write!(self.stream, "GET {target} HTTP/1.1\r\nHost: dbr\r\n\r\n").unwrap();
+        let mut status_line = String::new();
+        self.reader.read_line(&mut status_line).unwrap();
+        assert!(status_line.starts_with("HTTP/1.1 200"), "{status_line}");
+        let mut content_length = 0usize;
+        loop {
+            let mut line = String::new();
+            self.reader.read_line(&mut line).unwrap();
+            if line == "\r\n" || line.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    content_length = value.trim().parse().unwrap();
+                }
+            }
+        }
+        let mut body = vec![0u8; content_length];
+        self.reader.read_exact(&mut body).unwrap();
+        let elapsed = start.elapsed().as_nanos() as u64;
+        assert_eq!(body, expected.as_bytes(), "{target}");
+        elapsed
+    }
+}
+
+/// Runs `clients` connections against a freshly bound service, each
+/// calling `client` once; returns the wall time in seconds and every
+/// client's result.
+fn run_clients<R: Send + 'static>(
+    clients: usize,
+    client: impl Fn(Conn) -> R + Send + Sync + 'static,
+) -> (f64, Vec<R>) {
     let registry = Arc::new(MetricsRegistry::new());
-    let service = QueryService::bind("127.0.0.1:0", config.clone(), registry).unwrap();
+    let service = QueryService::bind("127.0.0.1:0", ServiceConfig::new(D), registry).unwrap();
     let addr = service.local_addr();
-    let barrier = Arc::new(Barrier::new(CLIENTS + 1));
-    let clients: Vec<_> = (0..CLIENTS)
+    let barrier = Arc::new(Barrier::new(clients + 1));
+    let client = Arc::new(client);
+    let handles: Vec<_> = (0..clients)
         .map(|_| {
-            let requests = Arc::clone(requests);
             let barrier = Arc::clone(&barrier);
+            let client = Arc::clone(&client);
             std::thread::spawn(move || {
+                let conn = Conn::connect(addr);
                 barrier.wait();
-                run_client(addr, &requests)
+                client(conn)
             })
         })
         .collect();
     barrier.wait();
     let start = Instant::now();
-    let mut latencies = Vec::new();
-    for client in clients {
-        latencies.extend(client.join().unwrap());
-    }
+    let results: Vec<R> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let elapsed = start.elapsed().as_secs_f64();
     service.shutdown().unwrap();
+    (elapsed, results)
+}
+
+/// One timed run: `CLIENTS` connections each issuing `PASSES` passes
+/// over `requests`. Returns the QPS and every latency sample (ns).
+fn run_once(requests: &Arc<Vec<(String, String)>>) -> (f64, Vec<u64>) {
+    let requests = Arc::clone(requests);
+    let (elapsed, per_client) = run_clients(CLIENTS, move |mut conn| {
+        let mut latencies = Vec::with_capacity(PASSES * requests.len());
+        for _ in 0..PASSES {
+            for (target, expected) in requests.iter() {
+                latencies.push(conn.exchange(target, expected));
+            }
+        }
+        latencies
+    });
+    let latencies: Vec<u64> = per_client.into_iter().flatten().collect();
     (latencies.len() as f64 / elapsed, latencies)
 }
 
-/// Median QPS per configuration plus pooled latency samples, with the
-/// two configurations' runs interleaved (A,B,A,B,...) so machine
-/// drift lands on both sides of the comparison equally.
-fn measure_interleaved(
-    configs: [&ServiceConfig; 2],
-    requests: &Arc<Vec<(String, String)>>,
-) -> [(f64, Vec<u64>); 2] {
-    let mut qps_samples = [Vec::with_capacity(RUNS), Vec::with_capacity(RUNS)];
-    let mut pooled = [Vec::new(), Vec::new()];
-    for _ in 0..RUNS {
-        for (i, config) in configs.iter().enumerate() {
-            let (qps, latencies) = run_once(config, requests);
-            qps_samples[i].push(qps);
-            pooled[i].extend(latencies);
+/// One probe run: `PROBE_CLIENTS` connections each alternating a query
+/// and a `/healthz`; returns query p50 over healthz p50.
+fn probe_once(requests: &Arc<Vec<(String, String)>>) -> f64 {
+    let requests = Arc::clone(requests);
+    let (_, per_client) = run_clients(PROBE_CLIENTS, move |mut conn| {
+        let mut query = Vec::with_capacity(PASSES * requests.len());
+        let mut healthz = Vec::with_capacity(PASSES * requests.len());
+        for _ in 0..PASSES {
+            for (target, expected) in requests.iter() {
+                query.push(conn.exchange(target, expected));
+                healthz.push(conn.exchange("/healthz", "ok\n"));
+            }
         }
-    }
-    let [lat0, lat1] = pooled;
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-        samples[samples.len() / 2]
-    };
-    [
-        (median(&mut qps_samples[0]), lat0),
-        (median(&mut qps_samples[1]), lat1),
-    ]
+        (query, healthz)
+    });
+    let (mut query, mut healthz): (Vec<u64>, Vec<u64>) =
+        per_client
+            .into_iter()
+            .fold((Vec::new(), Vec::new()), |(mut q, mut h), (cq, ch)| {
+                q.extend(cq);
+                h.extend(ch);
+                (q, h)
+            });
+    percentile(&mut query, 50.0) as f64 / percentile(&mut healthz, 50.0) as f64
 }
 
 /// The `p`-th percentile (0–100) of `samples`, which are sorted here.
@@ -205,10 +222,16 @@ fn percentile(samples: &mut [u64], p: f64) -> u64 {
     samples[rank]
 }
 
+/// The median of `samples`, which are sorted here.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+    samples[samples.len() / 2]
+}
+
 fn main() {
     let json = json_mode();
     let ns_only = std::env::args().any(|a| a == "--ns-only");
-    let min_qps_ratio = flag_value("--min-qps-ratio");
+    let max_query_over_healthz = flag_value("--max-query-over-healthz");
     let zipf_exponent = flag_value("--zipf-exponent").unwrap_or(1.0);
     let mut report = JsonReport::new("service_throughput", "qps_and_ns");
 
@@ -222,80 +245,52 @@ fn main() {
              zipf = destinations drawn Zipf({zipf_exponent}) over the whole space\n"
         );
         println!(
-            "{:>23} {:>10} {:>12} {:>12}",
-            "configuration", "qps", "p50_ns", "p99_ns"
+            "{:>10} {:>10} {:>12} {:>12}",
+            "workload", "qps", "p50_ns", "p99_ns"
         );
     }
 
-    let sharded = ServiceConfig {
-        workers: WORKERS,
-        ..ServiceConfig::new(D)
-    };
-    let shared = ServiceConfig {
-        workers: WORKERS,
-        shared_cache: true,
-        batch: 1,
-        ..ServiceConfig::new(D)
-    };
-
-    let mut qps_by_mode = Vec::new();
     for (suffix, request_set) in [("", &requests), ("_zipf", &zipf_requests)] {
-        let measured = measure_interleaved([&sharded, &shared], request_set);
-        for ((name, _), (qps, mut latencies)) in
-            [("sharded_batched", &sharded), ("shared_unbatched", &shared)]
-                .into_iter()
-                .zip(measured)
-        {
-            let p50 = percentile(&mut latencies, 50.0);
-            let p99 = percentile(&mut latencies, 99.0);
-            if !ns_only {
-                report.push(&format!("qps_{name}{suffix}"), CLIENTS, qps);
-            }
-            report.push(&format!("p50_ns_{name}{suffix}"), CLIENTS, p50 as f64);
-            report.push(&format!("p99_ns_{name}{suffix}"), CLIENTS, p99 as f64);
-            if !json {
-                let label = format!("{name}{suffix}");
-                println!("{label:>23} {qps:>10.0} {p50:>12} {p99:>12}");
-            }
-            // The uniform-workload ratio (suffix "") feeds the QPS gate.
-            if suffix.is_empty() {
-                qps_by_mode.push(qps);
-            }
+        let mut qps_runs = Vec::with_capacity(RUNS);
+        let mut pooled = Vec::new();
+        for _ in 0..RUNS {
+            let (qps, latencies) = run_once(request_set);
+            qps_runs.push(qps);
+            pooled.extend(latencies);
+        }
+        let qps = median(&mut qps_runs);
+        let p50 = percentile(&mut pooled, 50.0);
+        let p99 = percentile(&mut pooled, 99.0);
+        if !ns_only {
+            report.push(&format!("qps{suffix}"), CLIENTS, qps);
+        }
+        report.push(&format!("p50_ns{suffix}"), CLIENTS, p50 as f64);
+        report.push(&format!("p99_ns{suffix}"), CLIENTS, p99 as f64);
+        if !json {
+            let label = if suffix.is_empty() { "uniform" } else { "zipf" };
+            println!("{label:>10} {qps:>10.0} {p50:>12} {p99:>12}");
         }
     }
-    let ratio = qps_by_mode[0] / qps_by_mode[1];
 
-    if let Some(limit) = min_qps_ratio {
-        // The sharded-vs-shared gap is contention relief, and a
-        // single-core host serializes the workers anyway, so the floor
-        // only gates where the machine can express it. The gate runs
-        // before the JSON is printed so a self-skip is recorded in the
-        // emitted line rather than only on stderr.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores < 2 {
-            let reason = format!(
-                "sharded-vs-shared QPS floor skipped: only {cores} core(s) available \
-                 (measured {ratio:.2}x)"
-            );
-            eprintln!("{reason}");
-            report.skip(&reason);
-        } else if ratio < limit {
+    let mut ratios: Vec<f64> = (0..RUNS).map(|_| probe_once(&requests)).collect();
+    let ratio = median(&mut ratios);
+    if !json {
+        println!(
+            "\nquery p50 over interleaved /healthz p50 ({PROBE_CLIENTS} connections, \
+             median of {RUNS} runs): {ratio:.3}"
+        );
+        println!("(every response asserted byte-identical to the direct engine)");
+    }
+    if let Some(limit) = max_query_over_healthz {
+        if ratio > limit {
             eprintln!(
-                "sharded+batched QPS only {ratio:.2}x the shared-cache baseline, \
-                 below the {limit}x floor"
+                "query p50 is {ratio:.3}x the interleaved /healthz p50, above the {limit}x ceiling"
             );
             std::process::exit(1);
-        } else {
-            eprintln!("sharded+batched QPS {ratio:.2}x the shared-cache baseline meets the {limit}x floor");
         }
+        eprintln!("query p50 {ratio:.3}x the interleaved /healthz p50 meets the {limit}x ceiling");
     }
-
     if json {
         println!("{}", report.render());
-    } else {
-        println!("\nsharded+batched over shared+unbatched: {ratio:.2}x QPS");
-        println!("(every response asserted byte-identical to the direct engine)");
     }
 }

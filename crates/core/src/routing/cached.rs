@@ -255,27 +255,6 @@ impl RouteCache {
         self.stats
     }
 
-    /// Whether `(x, y)` is currently cached — a pure probe that touches
-    /// neither the hit/miss statistics nor the clock reference bit.
-    ///
-    /// Batched drains use this to pre-classify likely hits before
-    /// computing the misses destination-grouped; the authoritative,
-    /// stat-mutating lookup still happens in [`Self::get_or_compute`], in
-    /// original arrival order, so the counters and eviction sequence
-    /// evolve exactly as in per-query evaluation.
-    pub fn peek(&self, x: &Word, y: &Word) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        match self.map.get(&pair_hash(x, y)) {
-            Some(&slot) => {
-                let s = &self.slots[slot];
-                s.key.0 == *x && s.key.1 == *y
-            }
-            None => false,
-        }
-    }
-
     /// Returns the cached route for `(x, y)`, computing and inserting it
     /// via `compute` on a miss.
     ///

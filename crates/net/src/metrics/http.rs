@@ -13,11 +13,11 @@
 //! `dbr serve` distance/route query endpoints).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use super::registry::MetricsRegistry;
 
@@ -115,45 +115,195 @@ pub struct HttpRequest {
     pub keep_alive: bool,
 }
 
-/// Reads one request head from `reader`. `Ok(None)` means the peer
-/// closed the connection cleanly between requests (keep-alive end).
-///
-/// Headers are drained (bounded at 8 KiB) so pipelined clients stay in
-/// sync; only the `Connection` header is interpreted.
-pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(None);
+/// Longest request line accepted (method, target and version, with the
+/// line ending); a longer one is refused with `414`.
+const MAX_REQUEST_LINE: usize = 8192;
+
+/// Most bytes of header lines accepted after the request line; more are
+/// refused with `431`.
+const MAX_HEADER_BYTES: usize = 8192;
+
+/// Largest request body read and discarded so a keep-alive connection
+/// stays in sync; a larger declared body is refused with `413`.
+const MAX_BODY: usize = 8192;
+
+/// How long [`refuse_and_close`] keeps discarding input after answering.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// What [`read_request`] found on the connection.
+#[derive(Debug)]
+pub(crate) enum Incoming {
+    /// The peer closed the connection cleanly between requests.
+    Closed,
+    /// One request head; its declared body has been read and discarded.
+    Request(HttpRequest),
+    /// A request the server will not frame. Answer it with
+    /// [`refuse_and_close`]; `kind` is the stable error label.
+    Refused {
+        /// Kebab-case error kind, also the JSON body's `error` field.
+        kind: &'static str,
+        /// The `4xx` response to send before closing.
+        response: HttpResponse,
+    },
+}
+
+fn refused(status: u16, kind: &'static str, detail: &str) -> Incoming {
+    Incoming::Refused {
+        kind,
+        response: HttpResponse::json_error(status, kind, detail),
     }
+}
+
+/// Appends one line, through its `\n`, to `line`, reading at most `limit`
+/// bytes in total. Returns `false` when the limit is reached before the
+/// line ends; end of stream ends the line early.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    limit: usize,
+) -> io::Result<bool> {
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(true);
+        }
+        let room = limit - line.len();
+        if let Some(i) = buf.iter().take(room).position(|&b| b == b'\n') {
+            line.extend_from_slice(&buf[..=i]);
+            reader.consume(i + 1);
+            return Ok(true);
+        }
+        let n = buf.len().min(room);
+        line.extend_from_slice(&buf[..n]);
+        reader.consume(n);
+        if line.len() == limit {
+            return Ok(false);
+        }
+    }
+}
+
+/// Reads one request head from `reader`, then reads and discards the
+/// body its `Content-Length` declares.
+///
+/// Every read is bounded: the request line at [`MAX_REQUEST_LINE`]
+/// (`414`), the header lines together at [`MAX_HEADER_BYTES`] (`431`),
+/// and the body at [`MAX_BODY`] (`413`). A `Transfer-Encoding` header is
+/// refused with `411`, and a malformed or conflicting `Content-Length`
+/// with `400`: without a length the body could not be told apart from
+/// the next request. Only `Connection` is otherwise interpreted.
+pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Incoming> {
+    let mut line = Vec::new();
+    if !read_line_capped(reader, &mut line, MAX_REQUEST_LINE)? {
+        return Ok(refused(
+            414,
+            "uri-too-long",
+            "request line exceeds 8192 bytes",
+        ));
+    }
+    if line.is_empty() {
+        return Ok(Incoming::Closed);
+    }
+    let request_line = String::from_utf8_lossy(&line);
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let target = parts.next().unwrap_or("").to_string();
     let http10 = parts.next().is_some_and(|v| v == "HTTP/1.0");
     let mut keep_alive = !http10;
-    let mut drained = 0usize;
+    let mut content_length: Option<usize> = None;
+    let mut chunked = false;
+    let mut budget = MAX_HEADER_BYTES;
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        drained += n;
-        if n == 0 || line == "\r\n" || line == "\n" || drained > 8192 {
+        line.clear();
+        if !read_line_capped(reader, &mut line, budget)? {
+            return Ok(refused(
+                431,
+                "headers-too-large",
+                "request headers exceed 8192 bytes",
+            ));
+        }
+        budget -= line.len();
+        if line.is_empty() || line == b"\r\n" || line == b"\n" {
             break;
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
+        let header = String::from_utf8_lossy(&line);
+        let Some((name, value)) = header.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                keep_alive = false;
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                keep_alive = true;
+            }
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = true;
+        } else if name.eq_ignore_ascii_case("content-length") {
+            match value.parse::<usize>() {
+                Ok(n) if content_length.is_none_or(|m| m == n) => content_length = Some(n),
+                _ => {
+                    return Ok(refused(
+                        400,
+                        "bad-request",
+                        "malformed or conflicting Content-Length",
+                    ))
                 }
             }
         }
     }
-    Ok(Some(HttpRequest {
+    if chunked {
+        return Ok(refused(
+            411,
+            "length-required",
+            "Transfer-Encoding is not supported; send Content-Length",
+        ));
+    }
+    let body = content_length.unwrap_or(0);
+    if body > MAX_BODY {
+        return Ok(refused(
+            413,
+            "body-too-large",
+            "request body exceeds 8192 bytes",
+        ));
+    }
+    io::copy(&mut reader.by_ref().take(body as u64), &mut io::sink())?;
+    Ok(Incoming::Request(HttpRequest {
         method,
         target,
         keep_alive,
     }))
+}
+
+/// Sends a refused request's response and closes the connection.
+///
+/// The peer may still be sending (a 1 MiB request line, say). Closing a
+/// socket with unread input resets it, which can discard the response
+/// before the peer reads it, so this stops sending and then discards
+/// input until the peer closes, for at most one second.
+pub(crate) fn refuse_and_close(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    response: &HttpResponse,
+) -> io::Result<()> {
+    write_response(stream, response, false)?;
+    stream.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + LINGER;
+    let mut discard = [0u8; 8192];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(());
+        }
+        stream.set_read_timeout(Some(left))?;
+        match reader.read(&mut discard) {
+            Ok(0) | Err(_) => return Ok(()),
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Writes `response` to `stream` with an explicit `Connection` header
@@ -195,6 +345,10 @@ fn status_reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        411 => "Length Required",
+        413 => "Content Too Large",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
@@ -347,8 +501,13 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let Some(request) = read_request(&mut reader)? else {
-        return Ok(());
+    let request = match read_request(&mut reader)? {
+        Incoming::Closed => return Ok(()),
+        Incoming::Refused { response, .. } => {
+            count_request(registry, "other", response.status);
+            return refuse_and_close(stream, &mut reader, &response);
+        }
+        Incoming::Request(request) => request,
     };
     let response = route(&request.method, &request.target, registry, handler);
     let endpoint = match request.target.split('?').next().unwrap_or("") {
@@ -357,17 +516,18 @@ fn serve_connection(
         // Unknown paths share one label to keep cardinality bounded.
         _ => "other".to_string(),
     };
+    count_request(registry, &endpoint, response.status);
+    write_response(stream, &response, false)
+}
+
+fn count_request(registry: &MetricsRegistry, endpoint: &str, status: u16) {
     registry
         .counter_with(
             "dbr_http_requests_total",
             "HTTP requests served, by endpoint and status.",
-            &[
-                ("endpoint", &endpoint),
-                ("status", &response.status.to_string()),
-            ],
+            &[("endpoint", endpoint), ("status", &status.to_string())],
         )
         .inc();
-    write_response(stream, &response, false)
 }
 
 fn route(
@@ -511,6 +671,38 @@ mod tests {
         let after = ScrapeServer::get(addr, "/metrics").unwrap();
         assert!(after.contains("dbr_demo_total{kind=\"x\"} 7\n"), "{after}");
         server.shutdown();
+    }
+
+    #[test]
+    fn oversized_heads_are_refused_and_the_server_keeps_serving() {
+        let (server, registry) = test_server();
+        let addr = server.local_addr();
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE));
+        let response = raw_request(addr, &long_line);
+        assert!(
+            response.starts_with("HTTP/1.1 414 URI Too Long\r\n"),
+            "{response}"
+        );
+        let long_headers = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "p".repeat(MAX_HEADER_BYTES)
+        );
+        let response = raw_request(addr, &long_headers);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        // A request within the caps, body included, is served.
+        let response = raw_request(
+            addr,
+            "GET /healthz HTTP/1.1\r\nContent-Length: 3\r\nConnection: close\r\n\r\nabc",
+        );
+        assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+        server.shutdown();
+        assert_eq!(
+            registry.snapshot().counter_value(
+                "dbr_http_requests_total",
+                &[("endpoint", "other"), ("status", "414")]
+            ),
+            Some(1)
+        );
     }
 
     #[test]

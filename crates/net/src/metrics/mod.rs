@@ -54,7 +54,7 @@ mod registry;
 
 pub use export::{FamilySnapshot, GaugeMerge, LabelSet, MetricKind, MetricValue, MetricsSnapshot};
 pub use flight::{numbered_path, Anomaly, AnomalyTriggers, Burst, FlightRecorder, MAX_CAPTURES};
-pub(crate) use http::{read_request, write_response};
+pub(crate) use http::{read_request, refuse_and_close, write_response, Incoming};
 pub use http::{HttpHandler, HttpRequest, HttpResponse, ScrapeServer, PROMETHEUS_CONTENT_TYPE};
 pub use recorder::{register_core_profile, replay_sharded, RegistryRecorder};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};

@@ -3,17 +3,16 @@
 //!
 //! Two answer paths exist on purpose:
 //!
-//! * [`answer_query_cached`] — the production path: per-worker
-//!   [`RouteCache`] for undirected queries (the expensive Theorem-2
+//! * [`answer_query_cached`] — the production path: the destination's
+//!   [`RouteCache`] shard for undirected queries (the expensive Theorem-2
 //!   solves), allocation-free Algorithm 1 for directed ones.
 //! * [`answer_query_direct`] — the reference path with no cache and no
 //!   reused buffers.
 //!
 //! The two must agree byte for byte for every query; the e2e tests
-//! assert exactly that, which is what makes the service's worker count
-//! and shard layout invisible to clients.
+//! assert exactly that, which is what makes the service's shard layout
+//! and connection assignment invisible to clients.
 
-use debruijn_core::batch::{route_batch_into, BatchScratch};
 use debruijn_core::distance::undirected::Engine;
 use debruijn_core::routing::{
     self, algorithm1_into, route_with_engine_into, RouteCache, RoutePath, RoutingScratch,
@@ -135,10 +134,10 @@ fn route_body(route: &RoutePath) -> String {
     format!("distance: {}\nroute:    {route}\n", route.len())
 }
 
-/// Answers `query` through a worker's private state: `cache` memoizes
-/// the bi-directional Theorem-2 solves (a hit is one `Vec` clone), and
-/// directed queries run Algorithm 1 allocation-free through `scratch`
-/// and `path_buf`.
+/// Answers `query` through a cache shard and the caller's reusable
+/// buffers: `cache` memoizes the bi-directional Theorem-2 solves (a hit
+/// is one `Vec` clone), and directed queries run Algorithm 1
+/// allocation-free through `scratch` and `path_buf`.
 ///
 /// Undirected `/distance` is served from the cached route's length —
 /// valid because every route the library computes has length equal to
@@ -151,12 +150,7 @@ pub fn answer_query_cached(
     path_buf: &mut RoutePath,
 ) -> String {
     if query.directed {
-        // O(k) and allocation-free: not worth a cache slot.
-        algorithm1_into(&query.x, &query.y, scratch, path_buf);
-        return match query.kind {
-            QueryKind::Distance => distance_body(path_buf.len()),
-            QueryKind::Route => route_body(path_buf),
-        };
+        return answer_directed(query, scratch, path_buf);
     }
     let route = cache.get_or_compute(&query.x, &query.y, |x, y| {
         let mut out = RoutePath::empty();
@@ -169,119 +163,17 @@ pub fn answer_query_cached(
     }
 }
 
-/// Reusable buffers for [`answer_batch_cached`]: the batched kernel's
-/// scratch, the grouped evaluation inputs, and the per-query precomputed
-/// routes. One per worker.
-#[derive(Debug, Default)]
-pub struct BatchAnswerState {
-    scratch: BatchScratch,
-    routes: Vec<RoutePath>,
-    group_pairs: Vec<(Word, Word)>,
-    group_of: Vec<usize>,
-    slots: Vec<Option<RoutePath>>,
-}
-
-impl BatchAnswerState {
-    /// Creates an empty state; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Answers one drained batch of queries through the destination-major
-/// batched kernel, byte-identically to calling [`answer_query_cached`] on
-/// each query in order — including the cache's hit/miss/eviction
-/// counters.
-///
-/// * Directed queries bypass the cache (as in the scalar path) and are
-///   evaluated destination-grouped in one [`route_batch_into`] call.
-/// * Undirected queries run in two passes: pass 1 [`RouteCache::peek`]s
-///   each one (no stat mutation) and computes the predicted misses
-///   destination-grouped; pass 2 performs the authoritative
-///   [`RouteCache::get_or_compute`] lookups in original arrival order,
-///   handing over the precomputed routes. The cache therefore observes
-///   the exact same lookup sequence — and the same computed bytes, since
-///   the batched kernel replays the scalar engine's sweep — as the
-///   per-query path. (A pass-1 prediction can be stale when an earlier
-///   insert in the same batch evicts a peeked entry; the closure then
-///   recomputes scalar, which yields the same bytes.)
-///
-/// `out[i]` receives the response body for `queries[i]`.
-pub fn answer_batch_cached(
-    queries: &[&Query],
-    cache: &mut RouteCache,
-    st: &mut BatchAnswerState,
-    out: &mut Vec<String>,
-) {
-    out.clear();
-    out.resize(queries.len(), String::new());
-
-    // Directed queries: grouped Algorithm 1, no cache involvement.
-    st.group_pairs.clear();
-    st.group_of.clear();
-    for (i, q) in queries.iter().enumerate() {
-        if q.directed {
-            st.group_pairs.push((q.x.clone(), q.y.clone()));
-            st.group_of.push(i);
-        }
-    }
-    if !st.group_pairs.is_empty() {
-        route_batch_into(
-            &st.group_pairs,
-            true,
-            Engine::Auto,
-            &mut st.scratch,
-            &mut st.routes,
-        );
-        for (pos, &i) in st.group_of.iter().enumerate() {
-            out[i] = match queries[i].kind {
-                QueryKind::Distance => distance_body(st.routes[pos].len()),
-                QueryKind::Route => route_body(&st.routes[pos]),
-            };
-        }
-    }
-
-    // Undirected, pass 1: destination-grouped solves for predicted misses.
-    st.group_pairs.clear();
-    st.group_of.clear();
-    for (i, q) in queries.iter().enumerate() {
-        if !q.directed && !cache.peek(&q.x, &q.y) {
-            st.group_pairs.push((q.x.clone(), q.y.clone()));
-            st.group_of.push(i);
-        }
-    }
-    st.slots.clear();
-    st.slots.resize_with(queries.len(), || None);
-    if !st.group_pairs.is_empty() {
-        route_batch_into(
-            &st.group_pairs,
-            false,
-            Engine::Auto,
-            &mut st.scratch,
-            &mut st.routes,
-        );
-        for (pos, &i) in st.group_of.iter().enumerate() {
-            st.slots[i] = Some(std::mem::take(&mut st.routes[pos]));
-        }
-    }
-
-    // Undirected, pass 2: stat-mutating lookups in arrival order.
-    for (i, q) in queries.iter().enumerate() {
-        if q.directed {
-            continue;
-        }
-        let slot = &mut st.slots[i];
-        let route = cache.get_or_compute(&q.x, &q.y, |x, y| {
-            slot.take().unwrap_or_else(|| {
-                let mut fresh = RoutePath::empty();
-                route_with_engine_into(x, y, Engine::Auto, &mut fresh);
-                fresh
-            })
-        });
-        out[i] = match q.kind {
-            QueryKind::Distance => distance_body(route.len()),
-            QueryKind::Route => route_body(&route),
-        };
+/// Answers a directed query with Algorithm 1, allocation-free: `O(k)`,
+/// so not worth a cache slot.
+pub(crate) fn answer_directed(
+    query: &Query,
+    scratch: &mut RoutingScratch,
+    path_buf: &mut RoutePath,
+) -> String {
+    algorithm1_into(&query.x, &query.y, scratch, path_buf);
+    match query.kind {
+        QueryKind::Distance => distance_body(path_buf.len()),
+        QueryKind::Route => route_body(path_buf),
     }
 }
 
@@ -372,59 +264,6 @@ mod tests {
             }
         }
         assert!(cache.stats().hits > 0, "repeat queries must hit");
-    }
-
-    #[test]
-    fn batched_answers_match_scalar_replay_including_cache_stats() {
-        use debruijn_core::rng::SplitMix64;
-
-        let g = DeBruijn::new(2, 5).unwrap();
-        let words: Vec<Word> = g.vertices().collect();
-        let mut rng = SplitMix64::new(0xBA7C_57A7);
-
-        // A skewed stream: a few hot destinations, duplicates, mixed
-        // kinds and directions. Tiny cache capacity forces evictions so
-        // the test also covers the stale-peek recompute path.
-        let hot: Vec<&Word> = (0..4)
-            .map(|_| &words[rng.below_usize(words.len())])
-            .collect();
-        let mut queries = Vec::new();
-        for _ in 0..300 {
-            let x = words[rng.below_usize(words.len())].clone();
-            let y = if rng.below_usize(4) < 3 {
-                hot[rng.below_usize(hot.len())].clone()
-            } else {
-                words[rng.below_usize(words.len())].clone()
-            };
-            queries.push(Query {
-                kind: if rng.below_usize(2) == 0 {
-                    QueryKind::Distance
-                } else {
-                    QueryKind::Route
-                },
-                x,
-                y,
-                directed: rng.below_usize(4) == 0,
-            });
-        }
-
-        let mut scalar_cache = RouteCache::new(8);
-        let mut batch_cache = RouteCache::new(8);
-        let mut scratch = RoutingScratch::new();
-        let mut path_buf = RoutePath::empty();
-        let mut st = BatchAnswerState::new();
-        let mut bodies = Vec::new();
-        for drain in queries.chunks(32) {
-            let refs: Vec<&Query> = drain.iter().collect();
-            answer_batch_cached(&refs, &mut batch_cache, &mut st, &mut bodies);
-            for (q, body) in drain.iter().zip(&bodies) {
-                let want = answer_query_cached(q, &mut scalar_cache, &mut scratch, &mut path_buf);
-                assert_eq!(*body, want, "{}->{} {:?}", q.x, q.y, q.kind);
-            }
-            assert_eq!(batch_cache.stats(), scalar_cache.stats());
-        }
-        let stats = batch_cache.stats();
-        assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0);
     }
 
     #[test]

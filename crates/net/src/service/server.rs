@@ -1,58 +1,65 @@
-//! The I/O plane: HTTP/1.1 keep-alive connection handling in front of
-//! the [`Dispatcher`].
+//! The HTTP plane: keep-alive connection threads that answer queries
+//! themselves.
 //!
-//! A [`QueryService`] owns one accept thread, a bounded pool of
+//! A [`QueryService`] owns one accept thread and a bounded pool of
 //! connection threads (one per live connection — blocking I/O, no
-//! reactor), and one compute worker per dispatcher shard. Connection
-//! threads do only protocol work: parse a request, hand the query to
-//! [`Dispatcher::submit`], block on the reply channel, write the
-//! response, repeat on the same socket. All routing math happens on the
-//! worker that owns the destination's cache shard, so answers are
-//! identical no matter which connection carried the query.
+//! reactor). A connection thread parses a request, admits the query to
+//! its destination's shard ([`QueryShards::admit`]), answers it under
+//! that shard's cache lock with buffers the connection owns, writes the
+//! response, and repeats on the same socket; no query crosses a thread.
+//! Every query toward one destination meets the same cache shard, so
+//! answers and cache counters do not depend on which connection carried
+//! it.
 //!
 //! Endpoints: `/distance` and `/route` (the query grammar of
 //! [`parse_query`]), `/metrics` (Prometheus text), `/healthz`, and
-//! `/quitquitquit` (graceful shutdown: answer, stop accepting, drain
-//! queues, join workers — how `dbr serve` gets an end-of-run metrics
-//! dump and CI gets a deterministic teardown).
+//! `/quitquitquit` (graceful shutdown: answer, stop accepting, let live
+//! connections finish — how `dbr serve` gets an end-of-run metrics dump
+//! and CI gets a deterministic teardown). A request head or body the
+//! server will not frame gets a `4xx` and the connection is closed (see
+//! `read_request`).
 
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use debruijn_core::routing::{RoutePath, RoutingScratch};
+
 use super::query::{parse_query, QueryKind};
-use super::worker::{Dispatcher, ServiceConfig};
+use super::shards::{QueryShards, ServiceConfig};
 use crate::metrics::{
-    read_request, write_response, Anomaly, HttpResponse, MetricsRegistry, PROMETHEUS_CONTENT_TYPE,
+    read_request, refuse_and_close, write_response, Anomaly, HttpResponse, Incoming,
+    MetricsRegistry, PROMETHEUS_CONTENT_TYPE,
 };
 
 /// Hard cap on concurrent connections; beyond it new sockets get an
-/// immediate `503`. Queue bounds (not this) are the real admission
-/// control — the cap only stops a connection flood from exhausting
-/// threads.
+/// immediate `503`. Per-shard in-flight bounds (not this) are the real
+/// admission control — the cap only stops a connection flood from
+/// exhausting threads.
 const MAX_CONNECTIONS: usize = 1024;
 
 /// How long an idle keep-alive connection may sit between requests.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How long shutdown waits for in-flight connections to finish before
-/// proceeding (stragglers then shed against the closed queues).
+/// How long shutdown waits for live connections to finish their current
+/// exchanges before it finalizes the flight recorder.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Shared state every connection thread needs.
 struct Shared {
-    dispatcher: Arc<Dispatcher>,
+    shards: Arc<QueryShards>,
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     addr: SocketAddr,
 }
 
-/// A thread-per-core HTTP query service over one TCP listener.
+/// An HTTP query service over one TCP listener, one thread per
+/// connection.
 ///
 /// # Examples
 ///
@@ -72,15 +79,14 @@ pub struct QueryService {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    dispatcher: Arc<Dispatcher>,
+    shards: Arc<QueryShards>,
     active: Arc<AtomicUsize>,
     torn_down: bool,
 }
 
 impl QueryService {
-    /// Binds `addr` and starts the accept thread plus one compute
-    /// worker per shard.
+    /// Binds `addr` and starts the accept thread, with one cache shard
+    /// per core.
     ///
     /// # Errors
     ///
@@ -90,37 +96,28 @@ impl QueryService {
         config: ServiceConfig,
         registry: Arc<MetricsRegistry>,
     ) -> io::Result<Self> {
-        let dispatcher = Dispatcher::new(config, Arc::clone(&registry));
-        Self::bind_dispatcher(addr, dispatcher, registry)
+        let shards = QueryShards::new(config, &registry);
+        Self::bind_shards(addr, shards, registry)
     }
 
-    /// Like [`QueryService::bind`] with a pre-built dispatcher (e.g.
-    /// one carrying a flight recorder).
+    /// Like [`QueryService::bind`] with pre-built shards (e.g. ones
+    /// carrying a flight recorder).
     ///
     /// # Errors
     ///
     /// Returns the bind or thread-spawn error.
-    pub fn bind_dispatcher(
+    pub fn bind_shards(
         addr: impl ToSocketAddrs,
-        dispatcher: Dispatcher,
+        shards: QueryShards,
         registry: Arc<MetricsRegistry>,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let dispatcher = Arc::new(dispatcher);
-        let mut workers = Vec::with_capacity(dispatcher.workers());
-        for w in 0..dispatcher.workers() {
-            let dispatcher = Arc::clone(&dispatcher);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dbr-serve-worker-{w}"))
-                    .spawn(move || dispatcher.run_worker(w))?,
-            );
-        }
+        let shards = Arc::new(shards);
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
         let shared = Arc::new(Shared {
-            dispatcher: Arc::clone(&dispatcher),
+            shards: Arc::clone(&shards),
             registry,
             stop: Arc::clone(&stop),
             active: Arc::clone(&active),
@@ -135,7 +132,7 @@ impl QueryService {
                     }
                     let Ok(mut stream) = conn else { continue };
                     if shared.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-                        let retry = shared.dispatcher.config().retry_after_secs;
+                        let retry = shared.shards.config().retry_after_secs;
                         let _ =
                             write_response(&mut stream, &HttpResponse::overloaded(retry), false);
                         continue;
@@ -145,7 +142,15 @@ impl QueryService {
                     let spawned = std::thread::Builder::new()
                         .name("dbr-serve-conn".to_string())
                         .spawn(move || {
-                            let _ = serve_connection(&conn_shared, stream);
+                            // A panic while answering closes only this
+                            // connection: its admission slot is freed by
+                            // the guard's drop, and the count stays exact.
+                            let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                                serve_connection(&conn_shared, stream)
+                            }));
+                            if served.is_err() {
+                                count_error(&conn_shared, "panic");
+                            }
                             conn_shared.active.fetch_sub(1, Ordering::SeqCst);
                         });
                     if spawned.is_err() {
@@ -157,8 +162,7 @@ impl QueryService {
             addr: local,
             stop,
             accept: Some(accept),
-            workers,
-            dispatcher,
+            shards,
             active,
             torn_down: false,
         })
@@ -169,13 +173,14 @@ impl QueryService {
         self.addr
     }
 
-    /// The compute plane, for inspection in tests and CLI reporting.
-    pub fn dispatcher(&self) -> &Arc<Dispatcher> {
-        &self.dispatcher
+    /// The cache shards and admission state, for inspection in tests
+    /// and CLI reporting.
+    pub fn shards(&self) -> &Arc<QueryShards> {
+        &self.shards
     }
 
     /// Parks the caller until the service stops (a `/quitquitquit`
-    /// request), then drains and joins everything.
+    /// request), then lets live connections finish.
     ///
     /// # Errors
     ///
@@ -187,7 +192,7 @@ impl QueryService {
         self.teardown()
     }
 
-    /// Stops accepting, drains in-flight work, joins all threads.
+    /// Stops accepting and lets live connections finish.
     ///
     /// # Errors
     ///
@@ -208,17 +213,12 @@ impl QueryService {
 
     fn teardown(&mut self) -> io::Result<Option<Anomaly>> {
         self.torn_down = true;
-        // Let live connections finish their current exchanges; after
-        // the deadline, any straggler sheds against the closed queues.
+        // Let live connections finish their current exchanges.
         let deadline = Instant::now() + DRAIN_DEADLINE;
         while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        self.dispatcher.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        self.dispatcher.finish_flight()
+        self.shards.finish_flight()
     }
 }
 
@@ -239,12 +239,18 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
     // keep-alive exchange even on loopback.
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    // One reply channel reused for every query on this connection: the
-    // connection blocks on it, so at most one answer is in flight.
-    let (reply_tx, reply_rx) = sync_channel::<String>(1);
+    // Answer buffers owned by the connection, reused for every query.
+    let mut scratch = RoutingScratch::new();
+    let mut path_buf = RoutePath::empty();
     loop {
-        let Some(request) = read_request(&mut reader)? else {
-            return Ok(());
+        let request = match read_request(&mut reader)? {
+            Incoming::Closed => return Ok(()),
+            Incoming::Refused { kind, response } => {
+                count_error(shared, kind);
+                count_request(shared, "other", response.status);
+                return refuse_and_close(&mut stream, &mut reader, &response);
+            }
+            Incoming::Request(request) => request,
         };
         let (path, query_string) = request
             .target
@@ -255,8 +261,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
             &request.method,
             path,
             query_string,
-            &reply_tx,
-            &reply_rx,
+            &mut scratch,
+            &mut path_buf,
         );
         let endpoint = match path {
             "/distance" => "distance",
@@ -267,21 +273,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
             // Unknown paths share one label to keep cardinality bounded.
             _ => "other",
         };
-        shared
-            .registry
-            .counter_with(
-                "dbr_service_requests_total",
-                "Service requests, by endpoint and status.",
-                &[
-                    ("endpoint", endpoint),
-                    ("status", &response.status.to_string()),
-                ],
-            )
-            .inc();
+        count_request(shared, endpoint, response.status);
         write_response(&mut stream, &response, request.keep_alive)?;
         if path == "/quitquitquit" {
             // Stop accepting after the response is on the wire; the
-            // owner's block()/teardown drains and joins the rest.
+            // owner's block()/teardown lets the other connections finish.
             shared.stop.store(true, Ordering::SeqCst);
             let _ = TcpStream::connect(shared.addr);
             return Ok(());
@@ -297,8 +293,8 @@ fn respond(
     method: &str,
     path: &str,
     query_string: &str,
-    reply_tx: &SyncSender<String>,
-    reply_rx: &Receiver<String>,
+    scratch: &mut RoutingScratch,
+    path_buf: &mut RoutePath,
 ) -> HttpResponse {
     if method != "GET" {
         count_error(shared, "method");
@@ -326,24 +322,29 @@ fn respond(
             );
         }
     };
-    let query = match parse_query(shared.dispatcher.config().d, kind, query_string) {
+    let query = match parse_query(shared.shards.config().d, kind, query_string) {
         Ok(query) => query,
         Err(e) => {
             count_error(shared, e.kind);
             return HttpResponse::json_error(400, e.kind, &e.detail);
         }
     };
-    match shared.dispatcher.submit(query, reply_tx.clone()) {
-        Err(_) => HttpResponse::overloaded(shared.dispatcher.config().retry_after_secs),
-        Ok(_) => match reply_rx.recv() {
-            Ok(body) => HttpResponse::ok(body),
-            // The worker vanished mid-query (panic or forced teardown).
-            Err(_) => {
-                count_error(shared, "internal");
-                HttpResponse::json_error(500, "internal", "worker unavailable")
-            }
-        },
-    }
+    let Some(slot) = shared.shards.admit(&query) else {
+        return HttpResponse::overloaded(shared.shards.config().retry_after_secs);
+    };
+    let body = slot.answer(scratch, path_buf);
+    HttpResponse::ok(body)
+}
+
+fn count_request(shared: &Shared, endpoint: &str, status: u16) {
+    shared
+        .registry
+        .counter_with(
+            "dbr_service_requests_total",
+            "Service requests, by endpoint and status.",
+            &[("endpoint", endpoint), ("status", &status.to_string())],
+        )
+        .inc();
 }
 
 fn count_error(shared: &Shared, kind: &str) {
@@ -362,19 +363,17 @@ mod tests {
     use super::*;
     use crate::metrics::ScrapeServer;
 
-    fn service(workers: usize) -> (QueryService, Arc<MetricsRegistry>) {
+    fn service() -> (QueryService, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());
-        let config = ServiceConfig {
-            workers,
-            ..ServiceConfig::new(2)
-        };
-        let service = QueryService::bind("127.0.0.1:0", config, Arc::clone(&registry)).unwrap();
+        let service =
+            QueryService::bind("127.0.0.1:0", ServiceConfig::new(2), Arc::clone(&registry))
+                .unwrap();
         (service, registry)
     }
 
     #[test]
     fn serves_distance_route_metrics_and_health() {
-        let (service, _registry) = service(2);
+        let (service, _registry) = service();
         let addr = service.local_addr();
         assert_eq!(
             ScrapeServer::get(addr, "/distance?x=0000&y=1111").unwrap(),
@@ -393,7 +392,7 @@ mod tests {
 
     #[test]
     fn quitquitquit_unblocks_block_and_drains() {
-        let (service, registry) = service(1);
+        let (service, registry) = service();
         let addr = service.local_addr();
         let body = ScrapeServer::get(addr, "/distance?x=0110&y=1011").unwrap();
         assert_eq!(body, "1\n");

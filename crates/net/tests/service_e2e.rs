@@ -1,22 +1,27 @@
-//! End-to-end tests for the thread-per-core query service: concurrent
-//! keep-alive clients, typed error handling, and overload shedding.
+//! End-to-end tests for the query service: concurrent keep-alive
+//! clients, typed error handling, overload shedding, cache accounting,
+//! and bounded request framing.
 //!
 //! The contract under test: every response is byte-identical to the
-//! single-threaded direct-engine answer regardless of worker count,
+//! single-threaded direct-engine answer regardless of core count,
 //! connection assignment, or cache state; malformed queries are typed
-//! `400`s; overload sheds with `503` + `Retry-After` and never grows a
-//! queue past its bound; shutdown drains every admitted query.
+//! `400`s; overload sheds with `503` + `Retry-After`; the cache counters
+//! are exactly those of per-shard caches fed the same queries; oversized
+//! or unframeable requests are refused without disturbing other
+//! connections.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Duration;
 
+use debruijn_core::rng::SplitMix64;
+use debruijn_core::routing::{destination_shard, RouteCache, RoutePath, RoutingScratch};
 use debruijn_core::Word;
 use debruijn_net::metrics::MetricsRegistry;
 use debruijn_net::service::{
-    answer_query_direct, parse_query, Dispatcher, Query, QueryKind, QueryService, ServiceConfig,
+    answer_query_cached, answer_query_direct, parse_query, Query, QueryKind, QueryService,
+    ServiceConfig,
 };
 
 /// A minimal HTTP/1.1 keep-alive client: one socket, many requests.
@@ -47,7 +52,12 @@ impl Client {
     /// Sends `GET target` on the persistent connection and reads the
     /// full response (Content-Length framed).
     fn get(&mut self, target: &str) -> Response {
-        write!(self.stream, "GET {target} HTTP/1.1\r\nHost: dbr\r\n\r\n").unwrap();
+        self.send(format!("GET {target} HTTP/1.1\r\nHost: dbr\r\n\r\n").as_bytes())
+    }
+
+    /// Writes raw request bytes and reads one response.
+    fn send(&mut self, request: &[u8]) -> Response {
+        self.stream.write_all(request).unwrap();
         self.stream.flush().unwrap();
         let mut status_line = String::new();
         self.reader.read_line(&mut status_line).unwrap();
@@ -124,7 +134,6 @@ fn query_mix() -> Vec<(String, Query)> {
 #[test]
 fn concurrent_keep_alive_clients_get_byte_identical_answers() {
     let (service, registry) = bind_service(ServiceConfig {
-        workers: 3,
         cache_capacity: 64, // small: force eviction traffic too
         ..ServiceConfig::new(2)
     });
@@ -169,10 +178,7 @@ fn concurrent_keep_alive_clients_get_byte_identical_answers() {
 
 #[test]
 fn malformed_queries_get_typed_400s_and_unknown_endpoints_404() {
-    let (service, registry) = bind_service(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::new(2)
-    });
+    let (service, registry) = bind_service(ServiceConfig::new(2));
     let mut client = Client::connect(service.local_addr());
 
     let cases = [
@@ -211,14 +217,16 @@ fn malformed_queries_get_typed_400s_and_unknown_endpoints_404() {
 #[test]
 fn overloaded_service_sheds_503_with_retry_after() {
     let (service, registry) = bind_service(ServiceConfig {
-        workers: 1,
         max_inflight: 4,
         retry_after_secs: 2,
         ..ServiceConfig::new(2)
     });
-    // Closing the dispatcher queues makes every subsequent admission
-    // fail — the deterministic stand-in for saturated workers.
-    service.dispatcher().close();
+    // Saturate the query's shard deterministically: hold all
+    // max_inflight slots, as four slow queries in flight would.
+    let query = parse_query(2, QueryKind::Route, "x=0110&y=1011").unwrap();
+    let held: Vec<_> = (0..4)
+        .map(|_| service.shards().admit(&query).unwrap())
+        .collect();
     let mut client = Client::connect(service.local_addr());
     let response = client.get("/route?x=0110&y=1011");
     assert_eq!(response.status, 503);
@@ -226,6 +234,12 @@ fn overloaded_service_sheds_503_with_retry_after() {
     assert!(response.body.contains("\"error\":\"overloaded\""));
     // Non-query endpoints still answer while shedding.
     assert_eq!(client.get("/healthz").body, "ok\n");
+    // Freed slots admit again.
+    drop(held);
+    assert_eq!(
+        client.get("/route?x=0110&y=1011").body,
+        answer_query_direct(&query)
+    );
     service.shutdown().unwrap();
     let snap = registry.snapshot();
     assert_eq!(snap.counter_value("dbr_service_shed_total", &[]), Some(1));
@@ -239,55 +253,191 @@ fn overloaded_service_sheds_503_with_retry_after() {
 }
 
 #[test]
-fn dispatcher_overload_keeps_depth_bounded_and_drains_on_shutdown() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let config = ServiceConfig {
-        workers: 1,
-        max_inflight: 8,
+fn one_connection_cache_counters_equal_a_per_shard_replay() {
+    let capacity = 16;
+    let (service, registry) = bind_service(ServiceConfig {
+        cache_capacity: capacity,
         ..ServiceConfig::new(2)
-    };
-    let dispatcher = Dispatcher::new(config, Arc::clone(&registry));
-    let query = parse_query(2, QueryKind::Route, "x=0110&y=1011").unwrap();
-    // No worker is running: exactly max_inflight admissions succeed,
-    // everything beyond sheds, and the depth never exceeds the bound.
-    let mut receivers = Vec::new();
-    let mut sheds = 0;
-    for _ in 0..20 {
-        let (tx, rx) = sync_channel(1);
-        match dispatcher.submit(query.clone(), tx) {
-            Ok(depth) => {
-                assert!(depth <= 8);
-                receivers.push(rx);
+    });
+    let shards = service.shards().shards();
+    let words: Vec<Word> = (0..64u128)
+        .map(|r| Word::from_rank(2, 6, r).unwrap())
+        .collect();
+    // A seeded mixed sequence: hot destinations with repeats, uniform
+    // pairs, both endpoints, one query in five directed.
+    let mut rng = SplitMix64::new(0x5EED_CAC4E);
+    let queries: Vec<Query> = (0..600)
+        .map(|_| {
+            let x = words[rng.below_usize(64)].clone();
+            let y = if rng.below_usize(3) > 0 {
+                words[rng.below_usize(6)].clone()
+            } else {
+                words[rng.below_usize(64)].clone()
+            };
+            Query {
+                kind: if rng.below_usize(2) == 0 {
+                    QueryKind::Distance
+                } else {
+                    QueryKind::Route
+                },
+                x,
+                y,
+                directed: rng.below_usize(5) == 0,
             }
-            Err(_) => sheds += 1,
-        }
+        })
+        .collect();
+
+    let mut client = Client::connect(service.local_addr());
+    for q in &queries {
+        let target = format!(
+            "/{}?x={}&y={}{}",
+            q.kind.label(),
+            q.x,
+            q.y,
+            if q.directed { "&directed=1" } else { "" }
+        );
+        let response = client.get(&target);
+        assert_eq!(response.status, 200, "{target}");
+        assert_eq!(response.body, answer_query_direct(q), "{target}");
     }
-    assert_eq!(receivers.len(), 8);
-    assert_eq!(sheds, 12);
-    assert_eq!(dispatcher.queue_depth(0), 8);
-    // Shutdown: close, then a (late-started) worker drains what was
-    // admitted — every accepted query still gets its answer.
-    dispatcher.close();
-    dispatcher.run_worker(0);
-    let expected = answer_query_direct(&query);
-    for rx in receivers {
-        assert_eq!(rx.recv().unwrap(), expected);
+    drop(client);
+    service.shutdown().unwrap();
+
+    // The same queries through answer_query_cached on per-shard caches
+    // with the service's capacity split.
+    let mut caches: Vec<RouteCache> = (0..shards)
+        .map(|_| RouteCache::new(capacity.div_ceil(shards)))
+        .collect();
+    let mut scratch = RoutingScratch::new();
+    let mut path_buf = RoutePath::empty();
+    for q in &queries {
+        let cache = &mut caches[destination_shard(&q.y, shards)];
+        answer_query_cached(q, cache, &mut scratch, &mut path_buf);
     }
-    assert_eq!(dispatcher.queue_depth(0), 0);
+    let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+    for cache in &caches {
+        let stats = cache.stats();
+        hits += stats.hits;
+        misses += stats.misses;
+        evictions += stats.evictions;
+    }
+    assert!(
+        hits > 0 && misses > 0 && evictions > 0,
+        "the sequence must churn"
+    );
+    let snap = registry.snapshot();
+    let served = |outcome: &str| {
+        snap.counter_value("dbr_service_cache_total", &[("outcome", outcome)])
+            .unwrap_or(0)
+    };
     assert_eq!(
-        registry
-            .snapshot()
-            .counter_value("dbr_service_shed_total", &[]),
-        Some(12)
+        (served("hit"), served("miss"), served("eviction")),
+        (hits, misses, evictions)
     );
 }
 
 #[test]
+fn newline_free_request_gets_414_and_other_connections_are_unaffected() {
+    let (service, registry) = bind_service(ServiceConfig::new(2));
+    let addr = service.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    // 1 MiB with no newline: the server must answer 414 after reading a
+    // bounded prefix rather than buffering the whole line.
+    let request = vec![b'a'; 1 << 20];
+    let writer = {
+        let mut stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            // The server may close before the whole megabyte is sent.
+            let _ = stream.write_all(&request);
+        })
+    };
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    writer.join().unwrap();
+    let response = String::from_utf8_lossy(&response);
+    assert!(
+        response.starts_with("HTTP/1.1 414 URI Too Long\r\n"),
+        "{response}"
+    );
+    assert!(response.contains("Connection: close"), "{response}");
+    assert!(
+        response.contains("\"error\":\"uri-too-long\""),
+        "{response}"
+    );
+
+    // A new connection is served normally.
+    let mut client = Client::connect(addr);
+    assert_eq!(client.get("/distance?x=00000000&y=11111111").body, "8\n");
+    drop(client);
+    service.shutdown().unwrap();
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter_value(
+            "dbr_service_requests_total",
+            &[("endpoint", "other"), ("status", "414")]
+        ),
+        Some(1)
+    );
+    assert_eq!(
+        snap.counter_value("dbr_service_errors_total", &[("kind", "uri-too-long")]),
+        Some(1)
+    );
+}
+
+#[test]
+fn request_bodies_are_framed_on_keep_alive_connections() {
+    let (service, _registry) = bind_service(ServiceConfig::new(2));
+    let addr = service.local_addr();
+    let mut client = Client::connect(addr);
+    // A declared 5-byte body is consumed, not parsed as the next request.
+    let response = client.send(
+        b"POST /distance?x=0110&y=1011 HTTP/1.1\r\nHost: dbr\r\nContent-Length: 5\r\n\r\nhello",
+    );
+    assert_eq!(response.status, 405);
+    let response = client.get("/distance?x=0110&y=1011");
+    assert_eq!((response.status, response.body.as_str()), (200, "1\n"));
+    drop(client);
+
+    // Unframeable bodies are refused and the connection closed.
+    for (request, status) in [
+        (
+            "POST /route HTTP/1.1\r\nContent-Length: 8193\r\n\r\n".to_string(),
+            "413",
+        ),
+        (
+            "POST /route HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_string(),
+            "411",
+        ),
+        (
+            format!(
+                "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "p".repeat(9000)
+            ),
+            "431",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with(&format!("HTTP/1.1 {status} ")),
+            "{status}: {response}"
+        );
+        assert!(response.contains("Connection: close"), "{response}");
+    }
+    service.shutdown().unwrap();
+}
+
+#[test]
 fn connection_close_is_honored_and_http10_defaults_to_close() {
-    let (service, _registry) = bind_service(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::new(2)
-    });
+    let (service, _registry) = bind_service(ServiceConfig::new(2));
     let addr = service.local_addr();
     // `Connection: close`: the server answers then closes the socket.
     let mut stream = TcpStream::connect(addr).unwrap();

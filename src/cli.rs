@@ -17,7 +17,7 @@ use debruijn_net::metrics::{
     ScrapeServer,
 };
 use debruijn_net::record::{parse_event, FanoutRecorder, InMemoryRecorder, JsonlRecorder};
-use debruijn_net::service::{QueryService, ServiceConfig};
+use debruijn_net::service::{QueryService, QueryShards, ServiceConfig};
 use debruijn_net::telemetry::{ChromeTraceRecorder, SnapshotRecorder};
 use debruijn_net::{
     workload, MonitorConfig, MonitorSet, NetEvent, NextHopMode, ProfileConfig, Recorder,
@@ -192,22 +192,18 @@ pub enum Command {
         /// Print the simulation metrics block too.
         metrics: bool,
     },
-    /// `dbr serve <d> [--listen ADDR] [--threads N] [--cache-capacity N]
-    /// [--max-inflight N] [--batch B] [--flight-dump FILE]` — standing
-    /// thread-per-core route/distance query service with `/metrics`.
+    /// `dbr serve <d> [--listen ADDR] [--cache-capacity N]
+    /// [--max-inflight N] [--flight-dump FILE]` — standing
+    /// route/distance query service with `/metrics`.
     Serve {
         /// Digit radix served.
         d: u8,
         /// Bind address (`127.0.0.1:0` picks a free port).
         listen: String,
-        /// Worker threads / cache shards (0 = one per core).
-        threads: usize,
         /// Total route-cache capacity split across shards (0 disables).
         cache_capacity: usize,
-        /// Per-worker queue bound; overflow is shed with 503.
+        /// Per-shard in-flight bound; overflow is shed with 503.
         max_inflight: usize,
-        /// Maximum queries a worker answers per wakeup.
-        batch: usize,
         /// Arm the queue-depth flight recorder, dumping the
         /// pre-overload window to this JSONL file.
         flight_dump: Option<String>,
@@ -429,8 +425,8 @@ USAGE:
                       [--messages N] [--router R] [--policy P] [--seed S]
                       [--next-hop T] [--workload W] [--faults W1,W2]
                       [--ttl N] [--trace FILE] [--metrics]
-  dbr serve <d> [--listen ADDR] [--threads N] [--cache-capacity N]
-                [--max-inflight N] [--batch B] [--flight-dump FILE]
+  dbr serve <d> [--listen ADDR] [--cache-capacity N]
+                [--max-inflight N] [--flight-dump FILE]
                                     HTTP route/distance query service
   dbr localize <d> <k> <trace.jsonl> [--directed]
                [--monitors identifying|all] [--threshold N]
@@ -532,15 +528,17 @@ require N graded anomalies per signature bit (default 1).
 
 `dbr serve <d>` answers GET /distance?x=X&y=Y and
 /route?x=X&y=Y (add &directed=1 for Algorithm 1) over keep-alive
-HTTP/1.1 on a thread-per-core worker pool with sharded route caches:
---threads N sets the worker/shard count (0 = one per core),
---cache-capacity the total cached routes, --max-inflight the
-per-worker queue bound (overflow is shed with 503 + Retry-After),
---batch the per-wakeup drain size, and --flight-dump FILE arms a
-queue-depth flight recorder that dumps the pre-overload window.
-Malformed queries get 400 with a JSON error body; unknown endpoints
-404. dbr_service_* metrics are exported at /metrics and printed as an
-end-of-run dump after GET /quitquitquit. See docs/OBSERVABILITY.md.
+HTTP/1.1. Each connection thread answers its own queries through one
+of the route-cache shards (one per core, picked by destination):
+--cache-capacity sets the total cached routes, --max-inflight the
+per-shard bound on queries being answered at once (overflow is shed
+with 503 + Retry-After), and --flight-dump FILE arms a queue-depth
+flight recorder that dumps the pre-overload window. Malformed queries
+get 400 with a JSON error body; unknown endpoints 404; request lines,
+headers or bodies over 8 KiB get 414, 431 or 413 and a closed
+connection. dbr_service_* metrics are exported at /metrics and
+printed as an end-of-run dump after GET /quitquitquit. See
+docs/OBSERVABILITY.md.
 ";
 
 /// Usage text for the `dbr trace` family, shown on trace parse errors.
@@ -798,13 +796,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let (pos, flags) = split_flags(&rest);
             flags.expect_only(&[
                 "--listen",
-                "--threads",
                 "--cache-capacity",
                 "--max-inflight",
-                "--batch",
                 "--flight-dump",
             ])?;
-            let [d] = positional::<1>(&pos, "serve <d> [--listen ADDR] [--threads N]")?;
+            let [d] = positional::<1>(&pos, "serve <d> [--listen ADDR]")?;
             let numeric = |flag: &str, name: &str, default: usize| {
                 flags
                     .value(flag)?
@@ -816,20 +812,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if max_inflight == 0 {
                 return Err("--max-inflight must be at least 1".into());
             }
-            let batch = numeric("--batch", "batch", 32)?;
-            if batch == 0 {
-                return Err("--batch must be at least 1".into());
-            }
             Ok(Command::Serve {
                 d: parse_radix(d)?,
                 listen: flags
                     .value("--listen")?
                     .unwrap_or("127.0.0.1:0")
                     .to_string(),
-                threads: numeric("--threads", "threads", 0)?,
                 cache_capacity: numeric("--cache-capacity", "cache-capacity", 4096)?,
                 max_inflight,
-                batch,
                 flight_dump: flags.value("--flight-dump")?.map(String::from),
             })
         }
@@ -1590,45 +1580,40 @@ pub fn run(cmd: &Command) -> Result<String, String> {
         Command::Serve {
             d,
             listen,
-            threads,
             cache_capacity,
             max_inflight,
-            batch,
             flight_dump,
         } => {
             let registry = Arc::new(MetricsRegistry::new());
             register_core_profile(&registry);
             let config = ServiceConfig {
-                workers: *threads,
                 cache_capacity: *cache_capacity,
                 max_inflight: *max_inflight,
-                batch: *batch,
                 ..ServiceConfig::new(*d)
             };
-            let mut dispatcher =
-                debruijn_net::service::Dispatcher::new(config, Arc::clone(&registry));
+            let mut shards = QueryShards::new(config, &registry);
             if let Some(path) = flight_dump {
-                // Trip exactly when a worker queue first fills (the
-                // moment shedding starts) and freeze the pre-overload
-                // admission window as `dbr trace`-readable JSONL.
+                // Trip exactly when a shard first reaches max-inflight
+                // (the moment shedding starts) and freeze the
+                // pre-overload admission window as `dbr trace`-readable
+                // JSONL.
                 let triggers = AnomalyTriggers {
                     drop_burst: None,
                     no_route_burst: None,
                     queue_depth_limit: Some(*max_inflight),
                     queue_wait_limit: None,
                 };
-                dispatcher = dispatcher
+                shards = shards
                     .with_flight_recorder(FlightRecorder::new(4096, triggers).with_dump_path(path));
             }
-            let service =
-                QueryService::bind_dispatcher(listen.as_str(), dispatcher, Arc::clone(&registry))
-                    .map_err(|e| format!("cannot listen on '{listen}': {e}"))?;
+            let service = QueryService::bind_shards(listen.as_str(), shards, Arc::clone(&registry))
+                .map_err(|e| format!("cannot listen on '{listen}': {e}"))?;
             eprintln!("listening on http://{}/metrics", service.local_addr());
             println!(
-                "serving radix-{d} route/distance queries on http://{} ({} workers, \
-                 cache {cache_capacity}, max-inflight {max_inflight}, batch {batch})",
+                "serving radix-{d} route/distance queries on http://{} ({} cache shards, \
+                 cache {cache_capacity}, max-inflight {max_inflight})",
                 service.local_addr(),
-                service.dispatcher().workers(),
+                service.shards().shards(),
             );
             std::io::Write::flush(&mut std::io::stdout()).map_err(|e| e.to_string())?;
             let anomaly = service
@@ -2501,32 +2486,29 @@ mod tests {
             Command::Serve {
                 d: 2,
                 listen: "127.0.0.1:0".into(),
-                threads: 0,
                 cache_capacity: 4096,
                 max_inflight: 256,
-                batch: 32,
                 flight_dump: None,
             }
         );
         assert_eq!(
             parse_line(
-                "serve 3 --listen 0.0.0.0:9100 --threads 4 --cache-capacity 128 \
-                 --max-inflight 64 --batch 8 --flight-dump overload.jsonl"
+                "serve 3 --listen 0.0.0.0:9100 --cache-capacity 128 \
+                 --max-inflight 64 --flight-dump overload.jsonl"
             )
             .unwrap(),
             Command::Serve {
                 d: 3,
                 listen: "0.0.0.0:9100".into(),
-                threads: 4,
                 cache_capacity: 128,
                 max_inflight: 64,
-                batch: 8,
                 flight_dump: Some("overload.jsonl".into()),
             }
         );
         assert!(parse_line("serve").is_err());
         assert!(parse_line("serve 2 --max-inflight 0").is_err());
-        assert!(parse_line("serve 2 --batch 0").is_err());
+        assert!(parse_line("serve 2 --threads 4").is_err());
+        assert!(parse_line("serve 2 --batch 8").is_err());
         assert_eq!(
             parse_line("trace prom run.jsonl --threads 4").unwrap(),
             Command::Trace {
@@ -2629,15 +2611,9 @@ mod tests {
     fn serve_service_answers_queries_with_typed_errors() {
         use debruijn_net::metrics::ScrapeServer;
         let registry = Arc::new(MetricsRegistry::new());
-        let service = QueryService::bind(
-            "127.0.0.1:0",
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::new(2)
-            },
-            Arc::clone(&registry),
-        )
-        .unwrap();
+        let service =
+            QueryService::bind("127.0.0.1:0", ServiceConfig::new(2), Arc::clone(&registry))
+                .unwrap();
         let addr = service.local_addr();
         assert_eq!(
             ScrapeServer::get(addr, "/distance?x=0110&y=1011").unwrap(),

@@ -8,19 +8,12 @@
 //! scalar route (same `Display` rendering, same tie-breaks) at every
 //! position — regardless of how the batch was ordered or how the kernel
 //! tiered the work (shared context, BFS column, or scalar fall-through).
-//! A final case drives the service's cached batch path and checks both
-//! bodies and cache counters against per-query evaluation.
 
 use debruijn_core::distance::undirected::{distance_with, Engine};
 use debruijn_core::rng::SplitMix64;
-use debruijn_core::routing::{
-    algorithm1, route_with_engine, RouteCache, RoutePath, RoutingScratch,
-};
+use debruijn_core::routing::{algorithm1, route_with_engine};
 use debruijn_core::{
     distance, distance_batch_into, route_batch_into, BatchScratch, DeBruijn, Word,
-};
-use debruijn_net::service::{
-    answer_batch_cached, answer_query_cached, BatchAnswerState, Query, QueryKind,
 };
 
 const ENGINES: [Engine; 5] = [
@@ -120,49 +113,5 @@ fn batched_routes_are_byte_identical_to_scalar_routes() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn service_batch_path_matches_per_query_evaluation_with_cache() {
-    for (d, k) in [(2u8, 5usize), (3, 3)] {
-        let space = DeBruijn::new(d, k).unwrap();
-        let pairs = mixed_batch(space, 0x5E4C ^ u64::from(d));
-        let mut rng = SplitMix64::new(0xCA11);
-        let queries: Vec<Query> = pairs
-            .into_iter()
-            .map(|(x, y)| Query {
-                kind: if rng.below_usize(2) == 0 {
-                    QueryKind::Distance
-                } else {
-                    QueryKind::Route
-                },
-                x,
-                y,
-                directed: rng.below_usize(5) == 0,
-            })
-            .collect();
-
-        // Small capacity so clock eviction runs inside the sweep.
-        let mut batch_cache = RouteCache::new(16);
-        let mut scalar_cache = RouteCache::new(16);
-        let mut st = BatchAnswerState::new();
-        let mut bodies = Vec::new();
-        let mut scratch = RoutingScratch::new();
-        let mut path_buf = RoutePath::empty();
-        for drain in queries.chunks(24) {
-            let refs: Vec<&Query> = drain.iter().collect();
-            answer_batch_cached(&refs, &mut batch_cache, &mut st, &mut bodies);
-            for (q, body) in drain.iter().zip(&bodies) {
-                let want = answer_query_cached(q, &mut scalar_cache, &mut scratch, &mut path_buf);
-                assert_eq!(*body, want, "d={d} k={k} {}->{} {:?}", q.x, q.y, q.kind);
-            }
-            assert_eq!(
-                batch_cache.stats(),
-                scalar_cache.stats(),
-                "cache counters must evolve identically (d={d} k={k})"
-            );
-        }
-        assert!(batch_cache.stats().evictions > 0, "capacity 16 must churn");
     }
 }
