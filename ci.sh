@@ -253,6 +253,34 @@ echo "== batched query kernel smoke =="
 # many sources plus singleton tails — its output must match one dbr
 # invocation per pair, and must be byte-identical across --threads
 # values (the chunk geometry, not the worker count, fixes the output).
+# The k = 8 file runs below Engine::Auto's suffix-automaton crossover,
+# the k = 64 file above it.
+batch_matches_per_pair() {
+    file=$1
+    ./target/release/dbr distance 2 --batch "$file" > "$smoke_dir/batch_dist.txt"
+    : > "$smoke_dir/scalar_dist.txt"
+    while read -r x y; do
+        ./target/release/dbr distance 2 "$x" "$y" >> "$smoke_dir/scalar_dist.txt"
+    done < "$file"
+    cmp "$smoke_dir/batch_dist.txt" "$smoke_dir/scalar_dist.txt"
+    ./target/release/dbr route 2 --batch "$file" > "$smoke_dir/batch_route.txt"
+    : > "$smoke_dir/scalar_route.txt"
+    while read -r x y; do
+        one=$(./target/release/dbr route 2 "$x" "$y")
+        d=$(printf '%s\n' "$one" | sed -n 's/^distance: //p')
+        r=$(printf '%s\n' "$one" | sed -n 's/^route:    //p')
+        printf '%s %s\n' "$d" "$r" >> "$smoke_dir/scalar_route.txt"
+    done < "$file"
+    cmp "$smoke_dir/batch_route.txt" "$smoke_dir/scalar_route.txt"
+    ./target/release/dbr distance 2 --batch "$file" --directed \
+        > "$smoke_dir/batch_dist_dir.txt"
+    : > "$smoke_dir/scalar_dist_dir.txt"
+    while read -r x y; do
+        ./target/release/dbr distance 2 "$x" "$y" --directed \
+            >> "$smoke_dir/scalar_dist_dir.txt"
+    done < "$file"
+    cmp "$smoke_dir/batch_dist_dir.txt" "$smoke_dir/scalar_dist_dir.txt"
+}
 batch_file="$smoke_dir/batch_pairs.txt"
 : > "$batch_file"
 for x in 00000000 01100110 10101010 11110000 00001111 11011011; do
@@ -260,29 +288,25 @@ for x in 00000000 01100110 10101010 11110000 00001111 11011011; do
         printf '%s %s\n' "$x" "$y" >> "$batch_file"
     done
 done
-./target/release/dbr distance 2 --batch "$batch_file" > "$smoke_dir/batch_dist.txt"
-: > "$smoke_dir/scalar_dist.txt"
-while read -r x y; do
-    ./target/release/dbr distance 2 "$x" "$y" >> "$smoke_dir/scalar_dist.txt"
-done < "$batch_file"
-cmp "$smoke_dir/batch_dist.txt" "$smoke_dir/scalar_dist.txt"
-./target/release/dbr route 2 --batch "$batch_file" > "$smoke_dir/batch_route.txt"
-: > "$smoke_dir/scalar_route.txt"
-while read -r x y; do
-    one=$(./target/release/dbr route 2 "$x" "$y")
-    d=$(printf '%s\n' "$one" | sed -n 's/^distance: //p')
-    r=$(printf '%s\n' "$one" | sed -n 's/^route:    //p')
-    printf '%s %s\n' "$d" "$r" >> "$smoke_dir/scalar_route.txt"
-done < "$batch_file"
-cmp "$smoke_dir/batch_route.txt" "$smoke_dir/scalar_route.txt"
-./target/release/dbr distance 2 --batch "$batch_file" --directed \
-    > "$smoke_dir/batch_dist_dir.txt"
-: > "$smoke_dir/scalar_dist_dir.txt"
-while read -r x y; do
-    ./target/release/dbr distance 2 "$x" "$y" --directed \
-        >> "$smoke_dir/scalar_dist_dir.txt"
-done < "$batch_file"
-cmp "$smoke_dir/batch_dist_dir.txt" "$smoke_dir/scalar_dist_dir.txt"
+batch_matches_per_pair "$batch_file"
+batch64="$smoke_dir/batch_pairs_k64.txt"
+: > "$batch64"
+hot1=0111101101001000011011011110100101011000010001010010111110011101
+hot2=0111010001111011100010010000101011011010010001010101110101000111
+prev=$hot2
+# The last source shares a 40-digit block with hot1.
+for x in \
+    1010010001100010000010000110101111100001000010001001000011111010 \
+    0100000001111011001001101110110010100111011101100111000001101001 \
+    1000100100100111010111110001101000110011110111100111100101100111 \
+    1101110000101010010011010101001111011111101110110000001100011000 \
+    0010001010100011001010101111000010011000100010110111010110001010 \
+    1110100101011000010001010010111110011101011100011100010010100010; do
+    printf '%s %s\n%s %s\n%s %s\n' "$x" "$hot1" "$x" "$hot2" "$x" "$prev" >> "$batch64"
+    prev=$x
+done
+printf '%s %s\n' "$hot1" "$hot1" >> "$batch64"
+batch_matches_per_pair "$batch64"
 for dir_flag in "" "--directed"; do
     # shellcheck disable=SC2086
     ./target/release/dbr distance 2 --batch "$batch_file" --threads 1 $dir_flag \
@@ -292,7 +316,7 @@ for dir_flag in "" "--directed"; do
         > "$smoke_dir/batch_t4.txt"
     cmp "$smoke_dir/batch_t1.txt" "$smoke_dir/batch_t4.txt"
 done
-echo "batched and per-pair answers agree; output is thread-count invariant"
+echo "batched and per-pair answers agree at k = 8 and k = 64; output is thread-count invariant"
 
 echo "== bench regression smoke =="
 # Reruns the distance-engine bench and fails if any series regressed

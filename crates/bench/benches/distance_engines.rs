@@ -1,4 +1,4 @@
-//! Timings of the four Theorem-2 distance engines.
+//! Timings of the five Theorem-2 distance engines.
 //!
 //! With `--json`, prints one machine-readable line (see
 //! [`debruijn_bench::JsonReport`]) instead of the table; `bench.sh`
@@ -6,9 +6,10 @@
 //!
 //! The quadratic engines are gated by size so the sweep stays fast: the
 //! `O(k³)` naive scan stops at k = 32, the `O(k²)` Morris–Pratt engine
-//! at k = 512. The k = 1024 and k = 2048 rows bracket the
-//! `Engine::Auto` crossover (`AUTO_BITPARALLEL_MAX_K`) where the `O(k)`
-//! suffix tree overtakes the bit-parallel sweep.
+//! at k = 512. The k = 8 and k = 16 rows bracket the `Engine::Auto`
+//! crossover (`AUTO_SAM_MIN_K`) where the suffix automaton (`sam`)
+//! overtakes the bit-parallel sweep. Consecutive pairs have different
+//! destinations, so every `sam` solve pays its automaton build.
 
 use debruijn_bench::{json_mode, median_nanos_per_call, random_pairs, JsonReport};
 use debruijn_core::distance::directed;
@@ -21,11 +22,11 @@ fn main() {
     if !json {
         println!("distance engines: ns per pair (median of 5 batches)\n");
         println!(
-            "{:>6} {:>12} {:>14} {:>13} {:>13} {:>12}",
-            "k", "directed", "morris_pratt", "suffix_tree", "bitparallel", "naive"
+            "{:>6} {:>12} {:>14} {:>13} {:>13} {:>10} {:>12}",
+            "k", "directed", "morris_pratt", "suffix_tree", "bitparallel", "sam", "naive"
         );
     }
-    for k in [8usize, 32, 128, 512, 1024, 2048] {
+    for k in [8usize, 16, 32, 128, 512, 1024, 2048] {
         let pairs = random_pairs(2, k, 8, 0xD15);
         let batch = (4096 / k).max(1);
         let time_engine = |engine: Engine| {
@@ -51,6 +52,7 @@ fn main() {
         let mp = (k <= 512).then(|| time_engine(Engine::MorrisPratt));
         let st = time_engine(Engine::SuffixTree);
         let bp = time_engine(Engine::BitParallel);
+        let sam = time_engine(Engine::Sam);
         let naive = (k <= 32).then(|| time_engine(Engine::Naive));
         report.push("directed", k, dir);
         if let Some(mp) = mp {
@@ -58,20 +60,22 @@ fn main() {
         }
         report.push("suffix_tree", k, st);
         report.push("bitparallel", k, bp);
+        report.push("sam", k, sam);
         if let Some(n) = naive {
             report.push("naive", k, n);
         }
         if !json {
             let mp = mp.map_or("-".into(), |v| format!("{v:.0}"));
             let naive = naive.map_or("-".into(), |n| format!("{n:.0}"));
-            println!("{k:>6} {dir:>12.0} {mp:>14} {st:>13.0} {bp:>13.0} {naive:>12}");
+            println!("{k:>6} {dir:>12.0} {mp:>14} {st:>13.0} {bp:>13.0} {sam:>10.0} {naive:>12}");
         }
     }
     if json {
         println!("{}", report.render());
     } else {
-        println!("\nThe word-parallel diagonal sweep (bitparallel) dominates up to");
-        println!("k = 512; by k = 1024 the O(k) suffix tree takes over. The O(k^2)");
-        println!("Morris-Pratt and O(k^3) naive engines are for validation.");
+        println!("\nThe word-parallel diagonal sweep (bitparallel) ties the suffix");
+        println!("automaton (sam) at k = 8; from k = 16 on the automaton's O(k)");
+        println!("build and scan win, by over an order of magnitude from k = 512. The");
+        println!("O(k^2) Morris-Pratt and O(k^3) naive engines are for validation.");
     }
 }

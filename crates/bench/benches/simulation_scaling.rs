@@ -112,16 +112,15 @@ fn main() {
     // the dense series closely on directed-style hops; the gap is what
     // DG(2,20)+ pays for dropping the d^{2k}-byte table.
     for threads in [1usize, 4] {
-        let sim = ShardedSimulation::new(
+        let sim = ShardedSimulation::new_with_next_hop(
             space,
             SimConfig {
                 threads,
                 ..SimConfig::default()
             },
             SHARDS,
+            NextHopMode::Compressed,
         )
-        .unwrap()
-        .with_next_hop(NextHopMode::Compressed)
         .unwrap();
         let ns = median_nanos_per_call(
             || {

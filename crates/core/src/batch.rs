@@ -1,14 +1,13 @@
 //! Destination-major batched query evaluation.
 //!
 //! Every per-query table the scalar engines build — the failure function
-//! of Algorithm 1, the packed lanes of the bit-parallel Theorem 2 sweep,
-//! the suffix automatons of the family-value scan — depends only on the
-//! *destination*. [`distance_batch_into`] and [`route_batch_into`]
-//! therefore sort-group a batch of `(x, y)` pairs by destination, build
-//! one [`DestinationContext`] per group, and answer every source in the
-//! group against it; results are written back through the original
-//! indices, so the output order (and every byte of every result) is
-//! identical to running the scalar engines pair by pair.
+//! of Algorithm 1, the suffix automaton of `Engine::Sam`'s Theorem 2 scan —
+//! depends only on the *destination*. [`distance_batch_into`] and
+//! [`route_batch_into`] therefore sort-group a batch of `(x, y)` pairs by
+//! destination, build one [`DestinationContext`] per group, and answer
+//! every source in the group against it; results are written back through
+//! the original indices, so the output order (and every byte of every
+//! result) is identical to running the scalar engines pair by pair.
 //!
 //! Three evaluation tiers, picked per group:
 //!
@@ -18,10 +17,10 @@
 //!   queries pay no grouping overhead beyond the sort;
 //! * **shared context** — larger groups amortize the `O(k)` (directed) or
 //!   `O(k·d)` (undirected) destination build across the group and pay only
-//!   the per-source scan: `O(k)` per source for directed overlaps and
-//!   undirected distance *values*, one packed sweep for undirected
-//!   *routes* (byte-identical minimizers to the scalar bit-parallel
-//!   engine, see [`DestinationContext::both_family_minima`]);
+//!   the `O(k)` per-source scan: the directed overlap, or — when the
+//!   engine resolves to [`Engine::Sam`] — the automaton scan that yields
+//!   both Theorem 2 minima *with* minimizers, the very kernel the scalar
+//!   Sam engine runs, so distances and routes are byte-identical to it;
 //! * **distance column** — when the whole vertex set is enumerable
 //!   ([`RankSpace`], at most [`COLUMN_MAX_NODES`] vertices) and the group
 //!   is large enough that one reverse BFS from the destination
@@ -29,17 +28,15 @@
 //!   per destination) is cheaper than per-source scans, distances for the
 //!   entire group are read out of one BFS column.
 //!
-//! Distances are plain integers, so any correct algorithm may serve them;
-//! routes must match the scalar tie-breaking byte for byte, so the route
-//! path reuses the exact engine sweep (with only the destination packing
-//! hoisted) and falls back to the scalar engine for configurations whose
-//! sweep it cannot replay (explicit non-bit-parallel engines, `Auto`
-//! above the crossover). The batched *distance* tiers do not tick the
-//! engine profiler counters (they bypass `solve`); batched undirected
-//! *routes* tick them exactly like the scalar path.
+//! Undirected groups whose engine resolves to anything but Sam (explicit
+//! engines, `Auto` below [`undirected::AUTO_SAM_MIN_K`] or beyond the
+//! automaton's cap) replay the scalar engine per pair, keeping its
+//! tie-breaking. The batched *distance* tiers do not tick the engine
+//! profiler counters (they bypass `solve`); batched undirected *routes*
+//! tick them exactly like the scalar path.
 
 use crate::distance::assert_same_space;
-use crate::distance::undirected::{self, Engine, FamilyMinimum, Solution};
+use crate::distance::undirected::{self, Engine, Solution};
 use crate::routing::{self, RoutePath, RoutingScratch, Step};
 use crate::space::{DeBruijn, RankSpace};
 use crate::word::Word;
@@ -331,7 +328,7 @@ fn distance_group(
             let i = i as usize;
             out[i] = k - scratch.ctx.overlap(pairs[i].0.digits());
         }
-    } else if DestinationContext::supports_family_scan(y.radix(), k) {
+    } else if engine.resolve(y.radix(), k) == Engine::Sam {
         scratch.ctx.set_destination(y.radix(), y.digits());
         for &i in grp {
             let i = i as usize;
@@ -382,9 +379,8 @@ fn route_group(
         }
         return;
     }
-    if engine.resolve(k) != Engine::BitParallel {
-        // Explicit non-bit-parallel engines (and Auto above the
-        // crossover) keep their own tie-breaking; replay them scalar.
+    if engine.resolve(y.radix(), k) != Engine::Sam {
+        // Other engines keep their own tie-breaking; replay them scalar.
         for &i in grp {
             let i = i as usize;
             let (x, y) = &pairs[i];
@@ -403,28 +399,11 @@ fn route_group(
         // Mirror solve()'s engine accounting so the profiler sees batched
         // route queries exactly like scalar ones.
         if engine == Engine::Auto {
-            crate::profile::count_auto_to_bit_parallel();
+            crate::profile::count_auto_to_sam();
         }
-        crate::profile::count_engine_bit_parallel();
-        let (l_min, r_min_reversed) = scratch.ctx.both_family_minima(x.digits());
-        // Identical Solution assembly to undirected::solve.
-        let left_family = FamilyMinimum {
-            steps: (2 * k as i64 - 1 + l_min.value) as usize,
-            s: l_min.s,
-            t: l_min.t,
-            theta: l_min.theta,
-        };
-        let right_family = FamilyMinimum {
-            steps: (2 * k as i64 - 1 + r_min_reversed.value) as usize,
-            s: k + 1 - r_min_reversed.s,
-            t: k + 1 - r_min_reversed.t,
-            theta: r_min_reversed.theta,
-        };
-        let sol = Solution {
-            k,
-            left_family,
-            right_family,
-        };
+        crate::profile::count_engine_sam();
+        let (l_min, r_min_reversed) = scratch.ctx.family_minima(x.digits());
+        let sol = Solution::from_minima(k, l_min, r_min_reversed);
         routing::route_from_solution_into(y, &sol, &mut out[i]);
     }
 }
@@ -436,12 +415,13 @@ mod tests {
     use crate::rng::SplitMix64;
     use crate::space::DeBruijn;
 
-    fn engines() -> [Engine; 5] {
+    fn engines() -> [Engine; 6] {
         [
             Engine::Naive,
             Engine::MorrisPratt,
             Engine::SuffixTree,
             Engine::BitParallel,
+            Engine::Sam,
             Engine::Auto,
         ]
     }

@@ -9,7 +9,7 @@
 //!
 //! where `l`/`r` are the matching functions of Eqs. (8–9). The two inner
 //! minima (the paper's `D₁` and `D₂` of Algorithm 2) are computed here by
-//! one of four interchangeable engines:
+//! one of five interchangeable engines:
 //!
 //! | engine | time | reference |
 //! |---|---|---|
@@ -17,15 +17,16 @@
 //! | [`Engine::MorrisPratt`] | `O(k²)` | Algorithms 2 + 3 |
 //! | [`Engine::SuffixTree`] | `O(k)` | Algorithm 4 |
 //! | [`Engine::BitParallel`] | `O(k²/w)` words | diagonal-run sweep, [`debruijn_strings::bitmatch`] |
+//! | [`Engine::Sam`] | `O(k·d)` build, `O(k)` scan | suffix automaton of `Y`, [`debruijn_strings::context`] |
 //!
-//! All four return not just the distance but the minimizers
+//! All five return not just the distance but the minimizers
 //! `(s₁,t₁,θ₁)` / `(s₂,t₂,θ₂)` needed to *construct* a shortest route.
 
 use std::cell::RefCell;
 
 use debruijn_strings::bitmatch;
 use debruijn_strings::matching::{self, MatchTerm};
-use debruijn_strings::TwoStringTree;
+use debruijn_strings::{DestinationContext, TwoStringTree};
 
 use super::assert_same_space;
 use crate::word::Word;
@@ -43,44 +44,50 @@ pub enum Engine {
     SuffixTree,
     /// Word-parallel diagonal-run sweep over packed digit lanes
     /// ([`debruijn_strings::bitmatch`]): `O(k²·lane_bits / 64)` word
-    /// operations, allocation-free after warm-up. Fastest engine up to
-    /// `k ≈ 512` (roughly 9× over Morris–Pratt at `k = 128`).
+    /// operations, allocation-free after warm-up. Fastest engine below
+    /// [`AUTO_SAM_MIN_K`], where its lack of a build step wins.
     BitParallel,
-    /// Picks [`Engine::BitParallel`] for `k ≤ 512` and
-    /// [`Engine::SuffixTree`] beyond — the measured crossover where the
-    /// suffix tree's `O(k)` asymptotics overtake the bit-parallel
-    /// engine's word-level constants (see `docs/PERFORMANCE.md`).
+    /// One suffix automaton of `Y` serves both Theorem 2 families in a
+    /// single forward scan of `X` ([`DestinationContext::family_minima`]):
+    /// `O(k·d)` build and `O(k)` scan, allocation-free after warm-up. The
+    /// production engine from [`AUTO_SAM_MIN_K`] up. Beyond the
+    /// automaton's table cap
+    /// ([`DestinationContext::supports_family_scan`]) it resolves to
+    /// [`Engine::SuffixTree`].
+    Sam,
+    /// Picks [`Engine::BitParallel`] below [`AUTO_SAM_MIN_K`],
+    /// [`Engine::Sam`] from there while the automaton fits its table cap,
+    /// and [`Engine::SuffixTree`] beyond (see `docs/PERFORMANCE.md`).
     #[default]
     Auto,
 }
 
-/// `Engine::Auto` uses [`Engine::BitParallel`] up to this `k` and
-/// [`Engine::SuffixTree`] beyond.
+/// `Engine::Auto` uses [`Engine::BitParallel`] below this `k` and
+/// [`Engine::Sam`] from it on.
 ///
-/// Pinned against the `distance_engines` series in
-/// `BENCH_results.json` (re-measured 2026-08; `bench.sh` regenerates
-/// it): at `k = 512` the bit-parallel sweep still wins (≈545 µs vs
-/// ≈700 µs per 1k pairs for the suffix tree), while at `k = 1024` the
-/// suffix tree's `O(k)` construction has overtaken the sweep's
-/// `O(k²/64)` word work (≈1.43 ms vs ≈2.18 ms). The crossover
-/// therefore lies in `(512, 1024]`; 512 is the largest benched size
-/// where bit-parallel is not dominated. See `docs/PERFORMANCE.md`.
-pub const AUTO_BITPARALLEL_MAX_K: usize = 512;
+/// Measured with a fresh destination per pair (64 seeded random pairs,
+/// one `solve` each, so the automaton build is never amortized), median
+/// ns per pair over 9 runs on a 2-vCPU x86-64 container: at `k = 8` the
+/// two are tied (BitParallel/Sam 0.83–1.08× across d ∈ {2, 3, 5}), from
+/// `k = 12` on the automaton wins in every run (1.19–1.28× at 12,
+/// 1.2–1.7× at 16, ≈3× at 64, ≈10× at 256). The sweep has no build step,
+/// so it keeps the tie region. The `distance_engines` bench's
+/// `bitparallel` and `sam` series track both sides (`bench.sh`).
+pub const AUTO_SAM_MIN_K: usize = 12;
 
 impl Engine {
-    /// The concrete engine [`Engine::Auto`] picks for word length `k`
-    /// (other engines resolve to themselves). Exposed so benchmarks and
-    /// tests can assert the selection matches the measured winner.
+    /// The concrete engine that answers words of length `k` over radix
+    /// `d`: [`Engine::Auto`]'s measured pick, [`Engine::Sam`] or its
+    /// suffix-tree fallback beyond the automaton's cap, and every other
+    /// engine itself. Exposed so benchmarks and tests can assert the
+    /// selection matches the measured winner.
     #[must_use]
-    pub fn resolve(self, k: usize) -> Engine {
+    pub fn resolve(self, d: u8, k: usize) -> Engine {
+        let sam_fits = DestinationContext::supports_family_scan(d, k);
         match self {
-            Engine::Auto => {
-                if k <= AUTO_BITPARALLEL_MAX_K {
-                    Engine::BitParallel
-                } else {
-                    Engine::SuffixTree
-                }
-            }
+            Engine::Auto if k < AUTO_SAM_MIN_K => Engine::BitParallel,
+            Engine::Auto | Engine::Sam if sam_fits => Engine::Sam,
+            Engine::Auto | Engine::Sam => Engine::SuffixTree,
             other => other,
         }
     }
@@ -121,6 +128,35 @@ impl Solution {
     pub fn distance(&self) -> usize {
         self.left_family.steps.min(self.right_family.steps)
     }
+
+    /// Assembles both family minima from an engine's `(l_min,
+    /// r_min_reversed)` pair, the convention of
+    /// [`debruijn_strings::bitmatch::both_family_minima`] and
+    /// [`DestinationContext::family_minima`].
+    pub(crate) fn from_minima(k: usize, l_min: MatchTerm, r_min_reversed: MatchTerm) -> Solution {
+        // D₁ = 2k − 1 + min(i − j − l_{i,j}); the baseline candidate (l = 0
+        // at i = 1, j = k) caps it at k.
+        let left_family = FamilyMinimum {
+            steps: (2 * k as i64 - 1 + l_min.value) as usize,
+            s: l_min.s,
+            t: l_min.t,
+            theta: l_min.theta,
+        };
+        // The r family on (X,Y) is the l family on the reversals:
+        // r_{i,j}(X,Y) = l_{k+1−i,k+1−j}(X̄,Ȳ), and
+        // −i + j − r_{i,j} = i′ − j′ − l_{i′,j′} under i′ = k+1−i, j′ = k+1−j.
+        let right_family = FamilyMinimum {
+            steps: (2 * k as i64 - 1 + r_min_reversed.value) as usize,
+            s: k + 1 - r_min_reversed.s,
+            t: k + 1 - r_min_reversed.t,
+            theta: r_min_reversed.theta,
+        };
+        Solution {
+            k,
+            left_family,
+            right_family,
+        }
+    }
 }
 
 /// Solves Theorem 2 for `(X,Y)` with the requested engine.
@@ -145,10 +181,11 @@ impl Solution {
 pub fn solve(x: &Word, y: &Word, engine: Engine) -> Solution {
     assert_same_space(x, y);
     let k = x.len();
-    let resolved = engine.resolve(k);
+    let resolved = engine.resolve(x.radix(), k);
     if engine == Engine::Auto {
         match resolved {
             Engine::BitParallel => crate::profile::count_auto_to_bit_parallel(),
+            Engine::Sam => crate::profile::count_auto_to_sam(),
             Engine::SuffixTree => crate::profile::count_auto_to_suffix_tree(),
             _ => unreachable!("Auto resolves to a measured engine"),
         }
@@ -159,6 +196,7 @@ pub fn solve(x: &Word, y: &Word, engine: Engine) -> Solution {
         Engine::MorrisPratt => crate::profile::count_engine_morris_pratt(),
         Engine::SuffixTree => crate::profile::count_engine_suffix_tree(),
         Engine::BitParallel => crate::profile::count_engine_bit_parallel(),
+        Engine::Sam => crate::profile::count_engine_sam(),
         Engine::Auto => unreachable!("resolved above"),
     }
     let (l_min, r_min_reversed) = match engine {
@@ -181,35 +219,14 @@ pub fn solve(x: &Word, y: &Word, engine: Engine) -> Solution {
         Engine::BitParallel => BIT_SCRATCH.with(|s| {
             bitmatch::both_family_minima(x.radix(), x.digits(), y.digits(), &mut s.borrow_mut())
         }),
+        Engine::Sam => SAM_CONTEXT.with(|c| {
+            let mut ctx = c.borrow_mut();
+            ctx.set_destination(y.radix(), y.digits());
+            ctx.family_minima(x.digits())
+        }),
         Engine::Auto => unreachable!("resolved above"),
     };
-
-    // D₁ = 2k − 1 + min(i − j − l_{i,j}); the baseline candidate (l = 0 at
-    // i = 1, j = k) caps it at k.
-    let d1 = (2 * k as i64 - 1 + l_min.value) as usize;
-    let left_family = FamilyMinimum {
-        steps: d1,
-        s: l_min.s,
-        t: l_min.t,
-        theta: l_min.theta,
-    };
-
-    // The r family on (X,Y) is the l family on the reversals:
-    // r_{i,j}(X,Y) = l_{k+1−i,k+1−j}(X̄,Ȳ), and
-    // −i + j − r_{i,j} = i′ − j′ − l_{i′,j′} under i′ = k+1−i, j′ = k+1−j.
-    let d2 = (2 * k as i64 - 1 + r_min_reversed.value) as usize;
-    let right_family = FamilyMinimum {
-        steps: d2,
-        s: k + 1 - r_min_reversed.s,
-        t: k + 1 - r_min_reversed.t,
-        theta: r_min_reversed.theta,
-    };
-
-    Solution {
-        k,
-        left_family,
-        right_family,
-    }
+    Solution::from_minima(k, l_min, r_min_reversed)
 }
 
 /// Distance between `X` and `Y` in the undirected `DG(d,k)` with the
@@ -236,6 +253,10 @@ thread_local! {
     // allocation-free across solves without threading a buffer through
     // every caller.
     static BIT_SCRATCH: RefCell<bitmatch::BitScratch> = RefCell::new(bitmatch::BitScratch::new());
+
+    // One destination context per thread keeps the automaton engine
+    // allocation-free across solves.
+    static SAM_CONTEXT: RefCell<DestinationContext> = RefCell::new(DestinationContext::new());
 
     // Row buffers plus reversed-digit buffers for the Morris–Pratt engine:
     // the r-family pass reverses both words, and reusing these vectors
@@ -289,12 +310,13 @@ mod tests {
         unreachable!("de Bruijn graphs are connected");
     }
 
-    fn engines() -> [Engine; 4] {
+    fn engines() -> [Engine; 5] {
         [
             Engine::Naive,
             Engine::MorrisPratt,
             Engine::SuffixTree,
             Engine::BitParallel,
+            Engine::Sam,
         ]
     }
 
@@ -414,9 +436,11 @@ mod tests {
                 let mp = distance_with(Engine::MorrisPratt, &x, &y);
                 let st = distance_with(Engine::SuffixTree, &x, &y);
                 let bp = distance_with(Engine::BitParallel, &x, &y);
+                let sam = distance_with(Engine::Sam, &x, &y);
                 let auto = distance(&x, &y);
                 assert_eq!(mp, st, "d={d} k={k}");
                 assert_eq!(mp, bp, "d={d} k={k}");
+                assert_eq!(mp, sam, "d={d} k={k}");
                 assert_eq!(mp, auto, "d={d} k={k}");
             }
         }
@@ -440,36 +464,33 @@ mod tests {
         distance(&x, &y);
     }
 
-    /// Auto must never pick an engine the `distance_engines` bench
-    /// series shows to be dominated at that size. The measured winners
-    /// (BENCH_results.json, `bench.sh` regenerates): bit-parallel at
-    /// every benched `k ≤ 512`, suffix tree at `k ≥ 1024`. If the
-    /// crossover [`AUTO_BITPARALLEL_MAX_K`] drifts away from the data,
-    /// this fails before a user sees the regression.
+    /// Auto's resolution follows the measured crossover: BitParallel
+    /// below [`AUTO_SAM_MIN_K`] (the `distance_engines` bench's
+    /// `bitparallel` vs `sam` series), the automaton from there while
+    /// its tables fit, and the suffix tree beyond the cap.
     #[test]
-    fn auto_never_selects_a_dominated_engine_at_bench_sizes() {
-        for k in [8usize, 32, 128, 512] {
-            assert_eq!(
-                Engine::Auto.resolve(k),
-                Engine::BitParallel,
-                "bit-parallel is the measured winner at k={k}"
-            );
+    fn auto_resolves_bit_parallel_then_sam_then_suffix_tree() {
+        for k in [1usize, 8, AUTO_SAM_MIN_K - 1] {
+            assert_eq!(Engine::Auto.resolve(2, k), Engine::BitParallel, "k={k}");
         }
-        for k in [1024usize, 2048] {
-            assert_eq!(
-                Engine::Auto.resolve(k),
-                Engine::SuffixTree,
-                "suffix tree is the measured winner at k={k}"
-            );
+        for k in [AUTO_SAM_MIN_K, 64, 256, 4096, 1 << 19] {
+            assert_eq!(Engine::Auto.resolve(2, k), Engine::Sam, "k={k}");
         }
-        // Non-auto engines resolve to themselves at any size.
+        // Past the automaton's table cap (2·(k+1)·d cells), the tree.
+        let k = 1 << 16;
+        assert!(!DestinationContext::supports_family_scan(255, k));
+        assert_eq!(Engine::Auto.resolve(255, k), Engine::SuffixTree);
+        assert_eq!(Engine::Sam.resolve(255, k), Engine::SuffixTree);
+        assert_eq!(Engine::Sam.resolve(2, 8), Engine::Sam);
+        // The other explicit engines resolve to themselves at any size.
         for e in [
             Engine::Naive,
             Engine::MorrisPratt,
             Engine::SuffixTree,
             Engine::BitParallel,
         ] {
-            assert_eq!(e.resolve(4096), e);
+            assert_eq!(e.resolve(2, 4096), e);
+            assert_eq!(e.resolve(255, k), e);
         }
     }
 }

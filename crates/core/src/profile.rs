@@ -7,8 +7,9 @@
 //!
 //! * which Theorem-2 engine actually solved each undirected distance
 //!   query — including how [`Engine::Auto`](crate::distance::undirected::Engine)
-//!   split its traffic between the bit-parallel and suffix-tree engines
-//!   around the measured crossover (§4's remark made measurable);
+//!   split its traffic between the bit-parallel, suffix-automaton and
+//!   suffix-tree engines around the measured crossover (§4's remark made
+//!   measurable);
 //! * how well the convergecast router amortizes: preprocessing builds
 //!   ([`DirectedDestinationRouter::new`](crate::routing::DirectedDestinationRouter))
 //!   versus routes served from the cached failure function — a
@@ -28,8 +29,10 @@ static ENGINE_NAIVE: AtomicU64 = AtomicU64::new(0);
 static ENGINE_MORRIS_PRATT: AtomicU64 = AtomicU64::new(0);
 static ENGINE_SUFFIX_TREE: AtomicU64 = AtomicU64::new(0);
 static ENGINE_BIT_PARALLEL: AtomicU64 = AtomicU64::new(0);
+static ENGINE_SAM: AtomicU64 = AtomicU64::new(0);
 static AUTO_TO_SUFFIX_TREE: AtomicU64 = AtomicU64::new(0);
 static AUTO_TO_BIT_PARALLEL: AtomicU64 = AtomicU64::new(0);
+static AUTO_TO_SAM: AtomicU64 = AtomicU64::new(0);
 static CONVERGECAST_BUILDS: AtomicU64 = AtomicU64::new(0);
 static CONVERGECAST_ROUTES: AtomicU64 = AtomicU64::new(0);
 static ROUTE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -58,6 +61,14 @@ pub(crate) fn count_engine_bit_parallel() {
 
 pub(crate) fn count_auto_to_bit_parallel() {
     AUTO_TO_BIT_PARALLEL.fetch_add(1, Ordering::Relaxed);
+}
+
+pub(crate) fn count_engine_sam() {
+    ENGINE_SAM.fetch_add(1, Ordering::Relaxed);
+}
+
+pub(crate) fn count_auto_to_sam() {
+    AUTO_TO_SAM.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn count_route_cache_hit() {
@@ -106,11 +117,16 @@ pub struct ProfileSnapshot {
     pub engine_suffix_tree: u64,
     /// Theorem-2 solves answered by the bit-parallel engine.
     pub engine_bit_parallel: u64,
+    /// Theorem-2 solves answered by the suffix-automaton engine.
+    pub engine_sam: u64,
     /// `Engine::Auto` resolutions that picked the suffix tree (beyond the
-    /// bit-parallel crossover).
+    /// suffix automaton's table cap).
     pub auto_to_suffix_tree: u64,
-    /// `Engine::Auto` resolutions that picked the bit-parallel engine.
+    /// `Engine::Auto` resolutions that picked the bit-parallel engine
+    /// (below the automaton crossover).
     pub auto_to_bit_parallel: u64,
+    /// `Engine::Auto` resolutions that picked the suffix-automaton engine.
+    pub auto_to_sam: u64,
     /// Convergecast router constructions (failure-function builds —
     /// the "misses" of the amortization).
     pub convergecast_builds: u64,
@@ -150,12 +166,14 @@ impl ProfileSnapshot {
             engine_bit_parallel: self
                 .engine_bit_parallel
                 .saturating_sub(earlier.engine_bit_parallel),
+            engine_sam: self.engine_sam.saturating_sub(earlier.engine_sam),
             auto_to_suffix_tree: self
                 .auto_to_suffix_tree
                 .saturating_sub(earlier.auto_to_suffix_tree),
             auto_to_bit_parallel: self
                 .auto_to_bit_parallel
                 .saturating_sub(earlier.auto_to_bit_parallel),
+            auto_to_sam: self.auto_to_sam.saturating_sub(earlier.auto_to_sam),
             convergecast_builds: self
                 .convergecast_builds
                 .saturating_sub(earlier.convergecast_builds),
@@ -180,6 +198,7 @@ impl ProfileSnapshot {
             + self.engine_morris_pratt
             + self.engine_suffix_tree
             + self.engine_bit_parallel
+            + self.engine_sam
     }
 
     /// Fraction of route-cache lookups served from the cache, or `None`
@@ -211,8 +230,10 @@ pub fn snapshot() -> ProfileSnapshot {
         engine_morris_pratt: ENGINE_MORRIS_PRATT.load(Ordering::Relaxed),
         engine_suffix_tree: ENGINE_SUFFIX_TREE.load(Ordering::Relaxed),
         engine_bit_parallel: ENGINE_BIT_PARALLEL.load(Ordering::Relaxed),
+        engine_sam: ENGINE_SAM.load(Ordering::Relaxed),
         auto_to_suffix_tree: AUTO_TO_SUFFIX_TREE.load(Ordering::Relaxed),
         auto_to_bit_parallel: AUTO_TO_BIT_PARALLEL.load(Ordering::Relaxed),
+        auto_to_sam: AUTO_TO_SAM.load(Ordering::Relaxed),
         convergecast_builds: CONVERGECAST_BUILDS.load(Ordering::Relaxed),
         convergecast_routes: CONVERGECAST_ROUTES.load(Ordering::Relaxed),
         route_cache_hits: ROUTE_CACHE_HITS.load(Ordering::Relaxed),
@@ -228,8 +249,10 @@ pub fn reset() {
     ENGINE_MORRIS_PRATT.store(0, Ordering::Relaxed);
     ENGINE_SUFFIX_TREE.store(0, Ordering::Relaxed);
     ENGINE_BIT_PARALLEL.store(0, Ordering::Relaxed);
+    ENGINE_SAM.store(0, Ordering::Relaxed);
     AUTO_TO_SUFFIX_TREE.store(0, Ordering::Relaxed);
     AUTO_TO_BIT_PARALLEL.store(0, Ordering::Relaxed);
+    AUTO_TO_SAM.store(0, Ordering::Relaxed);
     CONVERGECAST_BUILDS.store(0, Ordering::Relaxed);
     CONVERGECAST_ROUTES.store(0, Ordering::Relaxed);
     ROUTE_CACHE_HITS.store(0, Ordering::Relaxed);
@@ -267,21 +290,27 @@ mod tests {
 
     #[test]
     fn auto_resolution_is_counted_per_side_of_the_crossover() {
-        use crate::distance::undirected::AUTO_BITPARALLEL_MAX_K;
+        use crate::distance::undirected::AUTO_SAM_MIN_K;
         let before = snapshot();
         let short = Word::uniform(2, 8, 0).unwrap();
         distance_with(Engine::Auto, &short, &Word::uniform(2, 8, 1).unwrap());
-        let k = AUTO_BITPARALLEL_MAX_K + 1;
+        let k = AUTO_SAM_MIN_K;
         let long = Word::uniform(2, k, 0).unwrap();
         distance_with(Engine::Auto, &long, &Word::uniform(2, k, 1).unwrap());
+        // Past the automaton's table cap (2·(k+1)·d cells) at d = 255.
+        let k = 1 << 14;
+        let huge = Word::uniform(255, k, 0).unwrap();
+        distance_with(Engine::Auto, &huge, &Word::uniform(255, k, 1).unwrap());
         let used = snapshot().since(&before);
         assert!(
             used.auto_to_bit_parallel >= 1,
             "k = 8 resolves to bit-parallel"
         );
+        assert!(used.auto_to_sam >= 1, "k at the crossover resolves to sam");
+        assert!(used.engine_sam >= 1);
         assert!(
             used.auto_to_suffix_tree >= 1,
-            "k past the crossover resolves to the tree"
+            "k past the automaton cap resolves to the tree"
         );
     }
 

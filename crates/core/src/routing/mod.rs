@@ -157,8 +157,8 @@ pub fn route_with_engine(x: &Word, y: &Word, engine: Engine) -> RoutePath {
 }
 
 /// Allocation-free variant of [`route_with_engine`]: rebuilds `out` in
-/// place. With [`Engine::BitParallel`] (or [`Engine::Auto`] below the
-/// crossover) no allocation happens after warm-up.
+/// place. With [`Engine::BitParallel`], [`Engine::Sam`] or [`Engine::Auto`]
+/// below the automaton's table cap, no allocation happens after warm-up.
 ///
 /// # Panics
 ///

@@ -74,16 +74,37 @@ impl Step {
     }
 }
 
+impl Step {
+    /// Appends this step's `Display` rendering — `(a,b)` with `b` in
+    /// decimal or `*` — byte by byte, without the formatting machinery.
+    fn push_to(&self, out: &mut String) {
+        out.push('(');
+        out.push(match self.shift {
+            ShiftKind::Left => '0',
+            ShiftKind::Right => '1',
+        });
+        out.push(',');
+        match self.digit {
+            Digit::Exact(b) => {
+                if b >= 100 {
+                    out.push(char::from(b'0' + b / 100));
+                }
+                if b >= 10 {
+                    out.push(char::from(b'0' + b / 10 % 10));
+                }
+                out.push(char::from(b'0' + b % 10));
+            }
+            Digit::Any => out.push('*'),
+        }
+        out.push(')');
+    }
+}
+
 impl fmt::Display for Step {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let a = match self.shift {
-            ShiftKind::Left => 0,
-            ShiftKind::Right => 1,
-        };
-        match self.digit {
-            Digit::Exact(b) => write!(f, "({a},{b})"),
-            Digit::Any => write!(f, "({a},*)"),
-        }
+        let mut text = String::with_capacity(8);
+        self.push_to(&mut text);
+        f.write_str(&text)
     }
 }
 
@@ -151,6 +172,29 @@ impl RoutePath {
     /// Iterates over the steps.
     pub fn iter(&self) -> std::slice::Iter<'_, Step> {
         self.steps.iter()
+    }
+
+    /// Appends the path's `Display` rendering to `out`: the steps'
+    /// `(a,b)` pairs back to back, or `(empty)`. Batch printers use this
+    /// to render many routes into one buffer without a formatter call
+    /// per step.
+    ///
+    /// ```
+    /// use debruijn_core::{RoutePath, Step};
+    ///
+    /// let mut out = String::from("2 ");
+    /// RoutePath::new(vec![Step::left(12), Step::right_any()]).render_into(&mut out);
+    /// assert_eq!(out, "2 (0,12)(1,*)");
+    /// ```
+    pub fn render_into(&self, out: &mut String) {
+        if self.steps.is_empty() {
+            out.push_str("(empty)");
+            return;
+        }
+        out.reserve(self.steps.len() * 6);
+        for step in &self.steps {
+            step.push_to(out);
+        }
     }
 
     /// Number of wildcard (`*`) steps.
@@ -357,13 +401,9 @@ impl IntoIterator for RoutePath {
 
 impl fmt::Display for RoutePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.steps.is_empty() {
-            return write!(f, "(empty)");
-        }
-        for step in &self.steps {
-            write!(f, "{step}")?;
-        }
-        Ok(())
+        let mut text = String::new();
+        self.render_into(&mut text);
+        f.write_str(&text)
     }
 }
 
@@ -373,6 +413,61 @@ mod tests {
 
     fn w(s: &str) -> Word {
         Word::parse(2, s).unwrap()
+    }
+
+    #[test]
+    fn rendering_is_byte_identical_to_per_step_formatting() {
+        // The formatting the pushed bytes replace: one write! per step.
+        fn formatted(path: &RoutePath) -> String {
+            if path.is_empty() {
+                return "(empty)".to_string();
+            }
+            let mut text = String::new();
+            for step in path.iter() {
+                let a = match step.shift {
+                    ShiftKind::Left => 0,
+                    ShiftKind::Right => 1,
+                };
+                match step.digit {
+                    Digit::Exact(b) => write!(text, "({a},{b})").unwrap(),
+                    Digit::Any => write!(text, "({a},*)").unwrap(),
+                }
+            }
+            text
+        }
+        use std::fmt::Write;
+        let mut state = 0x5EED_u64;
+        for d in [2u16, 10, 16, 255] {
+            for len in [0usize, 1, 7, 300] {
+                let steps: Vec<Step> = (0..len)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        let r = (state >> 33) as u16;
+                        // Every digit boundary (0, 9/10, 99/100, d−1)
+                        // plus random digits and wildcards.
+                        let b = [0, 9, 10, 99, 100, d - 1][i % 6].min(d - 1);
+                        match r % 4 {
+                            0 => Step::left_any(),
+                            1 => Step::right_any(),
+                            2 => Step::left((r % d) as u8),
+                            _ => Step::right(b as u8),
+                        }
+                    })
+                    .collect();
+                let path = RoutePath::new(steps);
+                let want = formatted(&path);
+                assert_eq!(path.to_string(), want, "d={d} len={len}");
+                let mut out = String::from("prefix ");
+                path.render_into(&mut out);
+                assert_eq!(out, format!("prefix {want}"), "d={d} len={len}");
+                for step in path.iter() {
+                    let one = RoutePath::new(vec![*step]);
+                    assert_eq!(step.to_string(), formatted(&one));
+                }
+            }
+        }
     }
 
     #[test]

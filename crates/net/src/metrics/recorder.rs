@@ -210,6 +210,7 @@ pub fn register_core_profile(registry: &MetricsRegistry) {
             ("morris-pratt", p.engine_morris_pratt),
             ("suffix-tree", p.engine_suffix_tree),
             ("bit-parallel", p.engine_bit_parallel),
+            ("sam", p.engine_sam),
         ] {
             snap.set_counter(
                 "dbr_core_engine_solves_total",
@@ -222,6 +223,7 @@ pub fn register_core_profile(registry: &MetricsRegistry) {
         for (engine, picks) in [
             ("suffix-tree", p.auto_to_suffix_tree),
             ("bit-parallel", p.auto_to_bit_parallel),
+            ("sam", p.auto_to_sam),
         ] {
             snap.set_counter(
                 "dbr_core_auto_select_total",
@@ -412,6 +414,7 @@ mod tests {
                 ("engine", "morris-pratt"),
                 ("engine", "suffix-tree"),
                 ("engine", "bit-parallel"),
+                ("engine", "sam"),
             ]
             .iter()
             .filter_map(|l| snap.counter_value("dbr_core_engine_solves_total", &[*l]))

@@ -128,7 +128,12 @@ pub struct ShardedSimulation {
 /// let sim = ShardedSimulation::new(space, SimConfig::default(), 2)?;
 /// // 64 nodes fit the dense cap comfortably.
 /// assert_eq!(sim.next_hop_mode(), NextHopMode::Dense);
-/// let sim = sim.with_next_hop(NextHopMode::Compressed)?;
+/// let sim = ShardedSimulation::new_with_next_hop(
+///     space,
+///     SimConfig::default(),
+///     2,
+///     NextHopMode::Compressed,
+/// )?;
 /// assert_eq!(sim.next_hop_mode(), NextHopMode::Compressed);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -520,6 +525,18 @@ struct ShardState {
     deliveries: Vec<SampledDelivery>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Forwarding tiers built on this thread (dense, compressed or
+    /// auto-resolved), so tests can pin that a constructor builds once.
+    static TIER_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn count_tier_build() {
+    #[cfg(test)]
+    TIER_BUILDS.with(|n| n.set(n.get() + 1));
+}
+
 impl ShardedSimulation {
     /// Creates a sharded simulation of `DG(d,k)` with `shards` node
     /// partitions (clamped to `[1, d^k]`; the partition — and therefore
@@ -539,6 +556,42 @@ impl ShardedSimulation {
     /// [`FaultHandling::Drop`], or the link timing violates the
     /// lookahead requirement `service + latency ≥ 1`.
     pub fn new(space: DeBruijn, config: SimConfig, shards: usize) -> Result<Self, NetError> {
+        Self::new_with_next_hop(space, config, shards, NextHopMode::Auto)
+    }
+
+    /// [`ShardedSimulation::new`] with a specific forwarding tier (see
+    /// [`NextHopMode`]), built once.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedSimulation::new`]; also [`NetError::Unsupported`] if
+    /// the requested tier cannot be built for this space — e.g.
+    /// [`NextHopMode::Dense`] on a space whose `d^{2k}` port array is
+    /// unbuildable.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use debruijn_core::DeBruijn;
+    /// use debruijn_net::shard::{NextHopMode, ShardedSimulation};
+    /// use debruijn_net::{workload, SimConfig};
+    ///
+    /// let space = DeBruijn::new(2, 6)?;
+    /// let traffic = workload::uniform_burst(space, 100, 7);
+    /// let config = SimConfig::default();
+    /// let dense = ShardedSimulation::new(space, config, 2)?;
+    /// let compressed =
+    ///     ShardedSimulation::new_with_next_hop(space, config, 2, NextHopMode::Compressed)?;
+    /// // The tiers are byte-equivalent: same ports, same report.
+    /// assert_eq!(dense.run(&traffic), compressed.run(&traffic));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn new_with_next_hop(
+        space: DeBruijn,
+        config: SimConfig,
+        shards: usize,
+        mode: NextHopMode,
+    ) -> Result<Self, NetError> {
         let Some(ranks) = RankSpace::new(space) else {
             return Err(NetError::Unsupported {
                 what: "sharded simulation needs d^k to fit 64-bit node ids".to_string(),
@@ -580,7 +633,7 @@ impl ShardedSimulation {
             table_cap: DEFAULT_TABLE_MEMORY_CAP,
             faults: HashSet::new(),
         };
-        sim.path = sim.resolve_auto();
+        sim.path = sim.build_tier(mode)?;
         Ok(sim)
     }
 
@@ -589,6 +642,7 @@ impl ShardedSimulation {
     /// every space this engine accepts), fallback only if the `2d`
     /// ports do not fit the `u8` encoding.
     fn resolve_auto(&self) -> FastPath {
+        count_tier_build();
         if let Some(table) = NextHopTable::build(
             self.space,
             self.directed,
@@ -607,39 +661,21 @@ impl ShardedSimulation {
     /// table memory cap: dense when the table fits `bytes`, otherwise
     /// the compressed cursor. (Before the compressed tier existed the
     /// only alternative was the word-level fallback; use
-    /// [`ShardedSimulation::with_next_hop`] to force a specific tier.)
+    /// [`ShardedSimulation::new_with_next_hop`] to force a specific
+    /// tier.)
     pub fn with_table_memory_cap(mut self, bytes: usize) -> Self {
         self.table_cap = bytes;
         self.path = self.resolve_auto();
         self
     }
 
-    /// Forces a specific forwarding tier (see [`NextHopMode`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Unsupported`] if the requested tier cannot
-    /// be built for this space — e.g. [`NextHopMode::Dense`] on a space
-    /// whose `d^{2k}` port array is unbuildable.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use debruijn_core::DeBruijn;
-    /// use debruijn_net::shard::{NextHopMode, ShardedSimulation};
-    /// use debruijn_net::{workload, SimConfig};
-    ///
-    /// let space = DeBruijn::new(2, 6)?;
-    /// let traffic = workload::uniform_burst(space, 100, 7);
-    /// let dense = ShardedSimulation::new(space, SimConfig::default(), 2)?;
-    /// let compressed = ShardedSimulation::new(space, SimConfig::default(), 2)?
-    ///     .with_next_hop(NextHopMode::Compressed)?;
-    /// // The tiers are byte-equivalent: same ports, same report.
-    /// assert_eq!(dense.run(&traffic), compressed.run(&traffic));
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn with_next_hop(mut self, mode: NextHopMode) -> Result<Self, NetError> {
-        self.path = match mode {
+    /// Builds the forwarding tier `mode` names (see
+    /// [`new_with_next_hop`](Self::new_with_next_hop)).
+    fn build_tier(&self, mode: NextHopMode) -> Result<FastPath, NetError> {
+        if !matches!(mode, NextHopMode::Auto | NextHopMode::Fallback) {
+            count_tier_build();
+        }
+        Ok(match mode {
             NextHopMode::Auto => self.resolve_auto(),
             NextHopMode::Dense => {
                 match NextHopTable::build(
@@ -672,8 +708,7 @@ impl ShardedSimulation {
                 }
             },
             NextHopMode::Fallback => FastPath::Fallback,
-        };
-        Ok(self)
+        })
     }
 
     /// The resolved forwarding tier (never [`NextHopMode::Auto`]).
@@ -1367,16 +1402,36 @@ mod tests {
         DeBruijn::new(d, k).expect("valid parameters")
     }
 
+    #[test]
+    fn each_constructor_builds_its_forwarding_tier_once() {
+        let builds = || TIER_BUILDS.with(std::cell::Cell::get);
+        let config = SimConfig::default();
+        for mode in [
+            NextHopMode::Auto,
+            NextHopMode::Dense,
+            NextHopMode::Compressed,
+        ] {
+            let before = builds();
+            let sim = ShardedSimulation::new_with_next_hop(space(2, 6), config, 2, mode)
+                .expect("supported config");
+            assert_eq!(builds() - before, 1, "{mode:?}");
+            let want = if mode == NextHopMode::Auto {
+                NextHopMode::Dense
+            } else {
+                mode
+            };
+            assert_eq!(sim.next_hop_mode(), want);
+        }
+    }
+
     fn run_grid(space: DeBruijn, config: SimConfig, traffic: &[Injection], mode: NextHopMode) {
         let mut baseline: Option<(SimReport, Vec<u8>, InMemoryRecorder)> = None;
         for shards in [1usize, 2, 4] {
             for threads in [1usize, 2, 4] {
                 let mut cfg = config;
                 cfg.threads = threads;
-                let sim = ShardedSimulation::new(space, cfg, shards)
-                    .expect("supported config")
-                    .with_next_hop(mode)
-                    .expect("tier available");
+                let sim = ShardedSimulation::new_with_next_hop(space, cfg, shards, mode)
+                    .expect("supported config and tier");
                 let mut jsonl = JsonlRecorder::new(Vec::new());
                 let mut metrics = InMemoryRecorder::new();
                 let mut fan = crate::record::FanoutRecorder::new();
@@ -1423,10 +1478,8 @@ mod tests {
 
             let run = |mode: NextHopMode, shards: usize, threads: usize| {
                 let cfg = SimConfig { threads, ..config };
-                let sim = ShardedSimulation::new(space, cfg, shards)
-                    .expect("supported config")
-                    .with_next_hop(mode)
-                    .expect("tier available");
+                let sim = ShardedSimulation::new_with_next_hop(space, cfg, shards, mode)
+                    .expect("supported config and tier");
                 let mut jsonl = JsonlRecorder::new(Vec::new());
                 let report = sim.run_recorded(&traffic, &mut jsonl);
                 (report, jsonl.finish().expect("in-memory trace"))
@@ -1617,10 +1670,8 @@ mod tests {
         assert_eq!(report.hop_histogram, expected);
         // And the compressed and fallback tiers agree with the table.
         for mode in [NextHopMode::Compressed, NextHopMode::Fallback] {
-            let tier = ShardedSimulation::new(space, config, 3)
-                .expect("supported config")
-                .with_next_hop(mode)
-                .expect("tier available")
+            let tier = ShardedSimulation::new_with_next_hop(space, config, 3, mode)
+                .expect("supported config and tier")
                 .run(&traffic);
             assert_eq!(tier.hop_histogram, expected, "{mode:?}");
         }

@@ -73,16 +73,6 @@ fn lane_bits(d: u8) -> usize {
     }
 }
 
-/// Packs `digits` into `out` at the lane width `lane_bits` dictates for
-/// radix `d`, ready for [`both_family_minima_prepacked`].
-///
-/// This is the per-word half of [`both_family_minima`]'s setup, exposed so
-/// destination-major batch kernels can pack a destination once and sweep
-/// many sources against it (see `debruijn_strings::context`).
-pub fn pack_lanes(d: u8, digits: &[u8], out: &mut Vec<u64>) {
-    pack(digits, lane_bits(d), out);
-}
-
 /// Packs digits into `out` at `lane` bits per digit, little-endian within
 /// each `u64`.
 fn pack(digits: &[u8], lane: usize, out: &mut Vec<u64>) {
@@ -181,31 +171,8 @@ pub fn both_family_minima(
     let lane = lane_bits(d);
     pack(x, lane, &mut scratch.xp);
     pack(y, lane, &mut scratch.yp);
-    both_family_minima_prepacked(d, x.len(), y.len(), &scratch.xp, &scratch.yp)
-}
-
-/// [`both_family_minima`] over digits already packed with [`pack_lanes`]
-/// for radix `d`; `kx` / `ky` are the original digit counts.
-///
-/// The sweep — and therefore every reported value and minimizer — is
-/// identical to [`both_family_minima`]; only the packing step is hoisted
-/// out, so a caller answering many sources against one destination packs
-/// the destination once.
-///
-/// # Panics
-///
-/// Panics if `kx` or `ky` is zero.
-pub fn both_family_minima_prepacked(
-    d: u8,
-    kx: usize,
-    ky: usize,
-    xp: &[u64],
-    yp: &[u64],
-) -> (MatchTerm, MatchTerm) {
-    assert!(kx > 0 && ky > 0, "k must be at least 1");
-    let lane = lane_bits(d);
-    debug_assert!(xp.len() >= (kx * lane).div_ceil(64));
-    debug_assert!(yp.len() >= (ky * lane).div_ceil(64));
+    let (kx, ky) = (x.len(), y.len());
+    let (xp, yp) = (&scratch.xp[..], &scratch.yp[..]);
 
     // θ = 0 baseline: min of i − j alone is 1 − ky at (1, ky), for the
     // original and the reversed strings alike.
@@ -454,26 +421,5 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn rejects_empty_input() {
         both_family_minima(2, &[], &[0], &mut BitScratch::new());
-    }
-
-    #[test]
-    fn prepacked_entry_point_is_identical_to_inline_packing() {
-        let mut scratch = BitScratch::new();
-        let mut state = 0x1234_5678_u32;
-        let mut next = move |m: u8| {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            ((state >> 16) % m as u32) as u8
-        };
-        for d in [2u8, 3, 20] {
-            for (kx, ky) in [(1, 1), (7, 7), (17, 23), (130, 65)] {
-                let x: Vec<u8> = (0..kx).map(|_| next(d)).collect();
-                let y: Vec<u8> = (0..ky).map(|_| next(d)).collect();
-                let want = both_family_minima(d, &x, &y, &mut scratch);
-                let (mut xp, mut yp) = (Vec::new(), Vec::new());
-                pack_lanes(d, &x, &mut xp);
-                pack_lanes(d, &y, &mut yp);
-                assert_eq!(both_family_minima_prepacked(d, kx, ky, &xp, &yp), want);
-            }
-        }
     }
 }

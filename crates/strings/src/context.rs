@@ -3,27 +3,23 @@
 //! Every quantity the routing algorithms need — the overlap `l` of Eq. (2),
 //! the matching-function minima of Theorem 2 — is a function of the *pair*
 //! `(X, Y)`, but all of the expensive tables depend only on the destination
-//! `Y`: the failure function (whose chain enumerates `Y`'s borders), the
-//! packed digit lanes of the bit-parallel sweep, and the suffix automatons
-//! of `Y` and `Ȳ`. [`DestinationContext`] computes each of those once per
-//! destination (lazily, so a directed-only caller never builds the
-//! automatons) and then answers any number of sources against them:
+//! `Y`: the failure function (whose chain enumerates `Y`'s borders) and the
+//! suffix automaton of `Y`. [`DestinationContext`] computes each of those
+//! once per destination (lazily, so a directed-only caller never builds the
+//! automaton) and then answers any number of sources against them:
 //!
 //! * [`DestinationContext::overlap`] — the directed overlap `l(X, Y)`, an
 //!   `O(|X|)` automaton scan over the prebuilt failure table; equals
 //!   [`crate::failure::overlap_with_scratch`]`(x, y, …)`.
-//! * [`DestinationContext::both_family_minima`] — the bit-parallel
-//!   Theorem 2 minima with `Y`'s lanes packed once; byte-identical to
-//!   [`crate::bitmatch::both_family_minima`] (same sweep, same
-//!   minimizers), so routes built from it are byte-identical too.
-//! * [`DestinationContext::family_min_values`] — the two Theorem 2
-//!   *values* (not minimizers) in `O(|X|)` per source via a
-//!   matching-statistics scan over suffix automatons of `Y` and `Ȳ`.
-//!   This is the fast path for batched *distance* queries: all engines
-//!   agree on the values, so the distance is identical even though no
-//!   minimizer is produced.
+//! * [`DestinationContext::family_minima`] — both Theorem 2 minima *with*
+//!   witnessed minimizers, in one `O(|X|)` forward scan of `X` through the
+//!   suffix automaton of `Y`. This is `Engine::Sam`'s kernel: the values
+//!   equal every other engine's, and the minimizers feed Algorithm 2's
+//!   route construction directly.
+//! * [`DestinationContext::family_min_values`] — the same scan, values
+//!   only.
 //!
-//! # The matching-statistics value scan
+//! # The matching-statistics scan
 //!
 //! The `l` family minimizes `i − j − l_{i,j}` over 1-indexed `(i, j)`,
 //! where `l_{i,j}` is the longest substring of `X` starting at `i` that
@@ -37,12 +33,31 @@
 //! `G = e_y + 2θ` over all suffix lengths `θ ≤ m` splits by automaton
 //! state: the state `u` holding the length-`m` match contributes
 //! `maxend(u) + 2m`, and every suffix-link ancestor `v` contributes
-//! `maxend(v) + 2·len(v)`, which the precomputed chain maximum
-//! `chain(link(u))` folds into one lookup. Total: `O(|Y|·d)` build,
-//! `O(|X|)` per source. The `r` family is the `l` family of the reversed
-//! strings (Eq. (9)'s identity), served by the second automaton.
+//! `maxend(v) + 2·len(v)`, which a per-state precomputed chain maximum
+//! folds into one lookup. The minimizer is `s = e_x − θ + 2`,
+//! `t = e_y + 1`.
+//!
+//! The `r` family minimizes `−i + j − r_{i,j}`, where the match *ends* at
+//! `i` in `X` and *starts* at `j` in `Y` — the same matches, scored from
+//! the other end: `(1 − e_x) + (e_y − 2θ)`. Minimizing `e_y − 2θ` needs the
+//! *first* end position `minend` of each state and a chain minimum of
+//! `minend(v) − 2·len(v)`; the one scan serves both families. The `r`
+//! result is reported as the `l` minimum of the reversed strings (Eq. (9)'s
+//! identity, the convention every engine shares): value
+//! `(|X| − |Y| + 1) − e_x + (e_y − 2θ)` at `s = |X| − e_x`,
+//! `t = |Y| − e_y + θ − 1`.
+//!
+//! Each chain extremum keeps the state that attains it, so a minimizer
+//! comes with its witnessed `θ`. Ties break deterministically: the first
+//! `e_x` in scan order that strictly improves wins, and at one `e_x` the
+//! state's own match beats an ancestor's.
+//!
+//! Build: `O(|Y|·d)`. Scan: `O(|X|)` amortized over suffix-link fallbacks;
+//! from the second source on, the context also *completes* the transition
+//! table (each missing `(state, digit)` edge resolved to its fallback
+//! target once, `O(|Y|·d)`), so each further scan is one table lookup per
+//! digit.
 
-use crate::bitmatch;
 use crate::failure::failure_function_into;
 use crate::matching::MatchTerm;
 
@@ -54,8 +69,27 @@ const NONE: u32 = u32::MAX;
 /// is false and callers fall back to a scalar engine. 4M cells ≈ 16 MiB.
 const SAM_MAX_CELLS: usize = 1 << 22;
 
+/// Per-state tables of the family scan, packed so one scan step touches
+/// one record. Positions and gains fit `i32`: the table cap bounds `k`
+/// far below `2³¹ / 3`.
+#[derive(Debug, Default, Clone, Copy)]
+struct Witness {
+    /// Max 0-based end position in the text over `endpos(u)`.
+    maxend: i32,
+    /// Min 0-based end position in the text over `endpos(u)`.
+    minend: i32,
+    /// Max of `maxend(v) + 2·len(v)` over the proper suffix-link
+    /// ancestors `v` of `u` (root excluded), attained at `best_l_at`.
+    best_l: i32,
+    /// Min of `minend(v) − 2·len(v)` over the same ancestors, attained at
+    /// `best_r_at`.
+    best_r: i32,
+    best_l_at: u32,
+    best_r_at: u32,
+}
+
 /// Suffix automaton of one destination string, with the per-state tables
-/// the matching-statistics value scan needs. All buffers are reused across
+/// the family scan needs. All buffers are reused across
 /// [`SuffixAutomaton::build`] calls.
 #[derive(Debug, Default, Clone)]
 struct SuffixAutomaton {
@@ -64,11 +98,12 @@ struct SuffixAutomaton {
     len: Vec<u32>,
     link: Vec<i32>,
     trans: Vec<u32>,
-    /// Max 0-based end position in the text over `endpos(u)`.
-    maxend: Vec<i64>,
-    /// `max over the suffix-link chain of u (root excluded) of
-    /// maxend(v) + 2·len(v)`.
-    chain: Vec<i64>,
+    wit: Vec<Witness>,
+    /// Completed transitions: `target | cap << 32`, where `cap` bounds the
+    /// match length after the step (`len(v) + 1` for the deepest
+    /// ancestor-or-self `v` with a real edge; 0 when none has one).
+    next: Vec<u64>,
+    next_ready: bool,
     /// Counting-sort scratch: states ordered by `len` ascending.
     order: Vec<u32>,
     counts: Vec<u32>,
@@ -82,7 +117,6 @@ impl SuffixAutomaton {
         self.states += 1;
         self.len[id] = len;
         self.link[id] = -1;
-        self.maxend[id] = i64::MIN;
         id
     }
 
@@ -92,20 +126,29 @@ impl SuffixAutomaton {
         self.d = d;
         self.text_len = text.len();
         self.states = 0;
+        self.next_ready = false;
         self.len.clear();
         self.len.resize(cap, 0);
         self.link.clear();
         self.link.resize(cap, -1);
-        self.maxend.clear();
-        self.maxend.resize(cap, i64::MIN);
         self.trans.clear();
         self.trans.resize(cap * d, NONE);
+        self.wit.clear();
+        self.wit.resize(
+            cap,
+            Witness {
+                maxend: i32::MIN,
+                minend: i32::MAX,
+                ..Witness::default()
+            },
+        );
         self.new_state(0); // root
         self.last = 0;
         for (pos, &ch) in text.iter().enumerate() {
             self.extend(ch as usize);
             // `last` is the state of the full prefix ending at `pos`.
-            self.maxend[self.last] = pos as i64;
+            self.wit[self.last].maxend = pos as i32;
+            self.wit[self.last].minend = pos as i32;
         }
         self.finish();
     }
@@ -139,8 +182,8 @@ impl SuffixAutomaton {
         self.last = cur;
     }
 
-    /// Propagates `maxend` up the suffix-link tree and precomputes the
-    /// chain maxima of `maxend(v) + 2·len(v)`.
+    /// Propagates `maxend`/`minend` up the suffix-link tree and
+    /// precomputes each state's best proper ancestor for both families.
     fn finish(&mut self) {
         let n = self.states;
         // Counting sort of states by len ascending (len <= text_len).
@@ -162,63 +205,143 @@ impl SuffixAutomaton {
             self.order[*slot as usize] = u as u32;
             *slot += 1;
         }
-        // endpos(link(u)) ⊇ endpos(u): fold maxend upward, longest first.
+        // endpos(link(u)) ⊇ endpos(u): fold both ends upward, longest
+        // first.
         for &u in self.order.iter().rev() {
             let u = u as usize;
             if self.link[u] >= 0 {
                 let l = self.link[u] as usize;
-                self.maxend[l] = self.maxend[l].max(self.maxend[u]);
+                self.wit[l].maxend = self.wit[l].maxend.max(self.wit[u].maxend);
+                self.wit[l].minend = self.wit[l].minend.min(self.wit[u].minend);
             }
         }
-        self.chain.clear();
-        self.chain.resize(n, i64::MIN);
-        for &u in self.order.iter() {
+        // Shortest first, so a state's link is final before the state.
+        // The root contributes nothing (θ = 0 is the baseline).
+        self.wit[0].best_l = i32::MIN;
+        self.wit[0].best_r = i32::MAX;
+        for &u in &self.order[1..] {
             let u = u as usize;
-            if u == 0 {
-                continue; // root contributes nothing (θ = 0 is the baseline)
+            let v = self.link[u] as usize;
+            let up = self.wit[v];
+            let (mut best_l, mut best_l_at) = (up.best_l, up.best_l_at);
+            let (mut best_r, mut best_r_at) = (up.best_r, up.best_r_at);
+            if v != 0 {
+                // v's own full-length match, preferred on ties (deeper).
+                let len = 2 * self.len[v] as i32;
+                if up.maxend + len >= best_l {
+                    (best_l, best_l_at) = (up.maxend + len, v as u32);
+                }
+                if up.minend - len <= best_r {
+                    (best_r, best_r_at) = (up.minend - len, v as u32);
+                }
             }
-            let own = self.maxend[u] + 2 * i64::from(self.len[u]);
-            let up = self.chain[self.link[u] as usize];
-            self.chain[u] = own.max(up);
+            let w = &mut self.wit[u];
+            (w.best_l, w.best_l_at, w.best_r, w.best_r_at) = (best_l, best_l_at, best_r, best_r_at);
         }
     }
 
-    /// `min_{i,j} (i − j − l_{i,j}(X, text))` — the value (only) of
-    /// [`crate::matching::min_l_term`]`(x, text)`.
-    fn min_l_value(&self, x: &[u8]) -> i64 {
+    /// Resolves every missing `(state, digit)` edge to its suffix-link
+    /// fallback once, so later scans take one lookup per digit.
+    fn complete(&mut self) {
         let d = self.d;
-        let mut best = 1 - self.text_len as i64; // θ = 0 baseline at (1, |Y|)
+        self.next.clear();
+        self.next.resize(self.states * d, 0);
+        for &u in &self.order[..self.states] {
+            let u = u as usize;
+            let cap = u64::from(self.len[u] + 1) << 32;
+            for c in 0..d {
+                let t = self.trans[u * d + c];
+                self.next[u * d + c] = if t != NONE {
+                    u64::from(t) | cap
+                } else if u == 0 {
+                    0 // no edge anywhere: back to the root, match length 0
+                } else {
+                    self.next[self.link[u] as usize * d + c]
+                };
+            }
+        }
+        self.next_ready = true;
+    }
+
+    /// Both Theorem 2 family minima of `x` against the text: `(l, r)`
+    /// with `r` in the reversed strings' coordinates (see the module
+    /// docs).
+    fn family_minima(&self, x: &[u8]) -> (MatchTerm, MatchTerm) {
+        let d = self.d;
+        let kx = x.len() as i64;
+        let ky = self.text_len as i64;
+        // θ = 0 baseline at (1, |Y|), for both orientations.
+        let mut best_l = MatchTerm {
+            value: 1 - ky,
+            s: 1,
+            t: self.text_len,
+            theta: 0,
+        };
+        let mut best_r = best_l;
         let mut u = 0usize;
         let mut m = 0usize;
         for (e, &ch) in x.iter().enumerate() {
             let c = ch as usize;
-            loop {
-                let t = self.trans[u * d + c];
-                if t != NONE {
-                    u = t as usize;
-                    m += 1;
-                    break;
+            if self.next_ready {
+                let cell = self.next[u * d + c];
+                u = cell as u32 as usize;
+                m = (m + 1).min((cell >> 32) as usize);
+            } else {
+                loop {
+                    let t = self.trans[u * d + c];
+                    if t != NONE {
+                        u = t as usize;
+                        m += 1;
+                        break;
+                    }
+                    if u == 0 {
+                        m = 0;
+                        break;
+                    }
+                    u = self.link[u] as usize;
+                    m = self.len[u] as usize;
                 }
-                if u == 0 {
-                    m = 0;
-                    break;
-                }
-                u = self.link[u] as usize;
-                m = self.len[u] as usize;
             }
-            if m > 0 {
-                let mut gain = self.maxend[u] + 2 * m as i64;
-                let up = self.chain[self.link[u] as usize];
-                if up > gain {
-                    gain = up;
-                }
-                let value = (e as i64 + 1) - gain;
-                if value < best {
-                    best = value;
-                }
+            if m == 0 {
+                continue;
+            }
+            let w = &self.wit[u];
+            let e = e as i64;
+            let two_m = 2 * m as i64;
+            let own = i64::from(w.maxend) + two_m;
+            let value = (e + 1) - own.max(i64::from(w.best_l));
+            if value < best_l.value {
+                let (theta, ey) = if own >= i64::from(w.best_l) {
+                    (m, w.maxend)
+                } else {
+                    let v = w.best_l_at as usize;
+                    (self.len[v] as usize, self.wit[v].maxend)
+                };
+                best_l = MatchTerm {
+                    value,
+                    s: (e + 2) as usize - theta,
+                    t: ey as usize + 1,
+                    theta,
+                };
+            }
+            let own = i64::from(w.minend) - two_m;
+            let value = (kx - ky + 1) - e + own.min(i64::from(w.best_r));
+            if value < best_r.value {
+                let (theta, ey) = if own <= i64::from(w.best_r) {
+                    (m, w.minend)
+                } else {
+                    let v = w.best_r_at as usize;
+                    (self.len[v] as usize, self.wit[v].minend)
+                };
+                best_r = MatchTerm {
+                    value,
+                    s: (kx - e) as usize,
+                    t: self.text_len + theta - 1 - ey as usize,
+                    theta,
+                };
             }
         }
-        best
+        (best_l, best_r)
     }
 }
 
@@ -226,10 +349,10 @@ impl SuffixAutomaton {
 /// destination.
 ///
 /// Bind a destination with [`set_destination`](Self::set_destination), then
-/// query any number of sources. Each table (failure function, packed
-/// lanes, suffix automatons) is built lazily on first use and cached until
-/// the destination changes; all buffers are reused across destinations, so
-/// a batch loop is allocation-free after warm-up.
+/// query any number of sources. Each table (failure function, suffix
+/// automaton) is built lazily on first use and cached until the
+/// destination changes; all buffers are reused across destinations, so a
+/// batch loop is allocation-free after warm-up.
 ///
 /// # Examples
 ///
@@ -246,17 +369,12 @@ impl SuffixAutomaton {
 pub struct DestinationContext {
     d: u8,
     y: Vec<u8>,
-    yr: Vec<u8>,
     fail: Vec<usize>,
     fail_ready: bool,
-    yp: Vec<u64>,
-    yp_ready: bool,
-    sams_ready: bool,
+    sam_ready: bool,
+    /// Sources scanned against the current automaton (saturating).
+    scans: u8,
     sam: SuffixAutomaton,
-    sam_rev: SuffixAutomaton,
-    // Per-source scratch: packed lanes and reversed digits of x.
-    xp: Vec<u64>,
-    xr: Vec<u8>,
 }
 
 impl DestinationContext {
@@ -278,11 +396,8 @@ impl DestinationContext {
         self.d = d;
         self.y.clear();
         self.y.extend_from_slice(y);
-        self.yr.clear();
-        self.yr.extend(y.iter().rev());
         self.fail_ready = false;
-        self.yp_ready = false;
-        self.sams_ready = false;
+        self.sam_ready = false;
     }
 
     /// The bound destination's digits.
@@ -335,59 +450,63 @@ impl DestinationContext {
         state
     }
 
-    /// Theorem 2 minima of both matching-function families for source `x`,
-    /// byte-identical to [`bitmatch::both_family_minima`] (values *and*
-    /// minimizers — same sweep order), with the destination's lanes packed
-    /// once per destination instead of once per pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty.
-    pub fn both_family_minima(&mut self, x: &[u8]) -> (MatchTerm, MatchTerm) {
-        assert!(!x.is_empty(), "k must be at least 1");
-        if !self.yp_ready {
-            bitmatch::pack_lanes(self.d, &self.y, &mut self.yp);
-            self.yp_ready = true;
-        }
-        bitmatch::pack_lanes(self.d, x, &mut self.xp);
-        bitmatch::both_family_minima_prepacked(self.d, x.len(), self.y.len(), &self.xp, &self.yp)
-    }
-
-    /// Whether the automaton-based [`family_min_values`](Self::family_min_values)
-    /// scan is available for word length `k` over radix `d` (the flat
-    /// transition tables are capped at `SAM_MAX_CELLS` cells).
+    /// Whether the automaton-based family scan
+    /// ([`family_minima`](Self::family_minima)) is available for word
+    /// length `k` over radix `d` (the flat transition tables are capped at
+    /// `SAM_MAX_CELLS` cells).
     pub fn supports_family_scan(d: u8, k: usize) -> bool {
         2usize.saturating_mul(k + 1).saturating_mul(d as usize) <= SAM_MAX_CELLS
     }
 
-    /// The minimized *values* of the `l` and reversed `r` families of
-    /// Theorem 2 — `(min(i − j − l_{i,j}), min over the reversed strings)`
-    /// — in `O(|x|)` per source after an `O(k·d)` per-destination build.
+    /// Theorem 2 minima of both matching-function families for source `x`,
+    /// with witnessed minimizers, in `O(|x|)` after an `O(k·d)`
+    /// per-destination build.
     ///
-    /// The values equal those of [`crate::matching::min_l_term`]`(x, y)` /
-    /// `(x̄, ȳ)` (and of every distance engine); no minimizer is produced,
-    /// so this serves distance queries, not route construction. The
+    /// Returns `(l_min, r_min_reversed)` in the convention of
+    /// [`crate::bitmatch::both_family_minima`]: `l_min` minimizes
+    /// `i − j − l_{i,j}(X,Y)` (value of [`crate::min_l_term`]`(x, y)`), and
+    /// `r_min_reversed` minimizes the `l` objective over the reversed
+    /// strings (value of [`crate::min_l_term`]`(x̄, ȳ)`), in reversed
+    /// 1-indexed coordinates. Every minimizer attains its value through a
+    /// witnessed match (`value = s − t − θ`, `θ = l_{s,t}`); ties break as
+    /// described in the module docs, which may differ from the other
+    /// engines' tie-breaking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is empty or the scan is unsupported for this
+    /// destination (check [`supports_family_scan`](Self::supports_family_scan)).
+    pub fn family_minima(&mut self, x: &[u8]) -> (MatchTerm, MatchTerm) {
+        assert!(!x.is_empty(), "k must be at least 1");
+        assert!(
+            Self::supports_family_scan(self.d, self.y.len()),
+            "destination too large for the family scan"
+        );
+        debug_assert!(x.iter().all(|&v| v < self.d), "digit out of range");
+        if !self.sam_ready {
+            self.sam.build(self.d as usize, &self.y);
+            self.sam_ready = true;
+            self.scans = 0;
+        }
+        // A second source means the destination is shared: completing the
+        // transitions once makes every further scan link-free.
+        if self.scans == 1 {
+            self.sam.complete();
+        }
+        self.scans = self.scans.saturating_add(1);
+        self.sam.family_minima(x)
+    }
+
+    /// The minimized *values* of [`family_minima`](Self::family_minima):
+    /// `(min(i − j − l_{i,j}), min over the reversed strings)`. The
     /// undirected de Bruijn distance is `2k − 1 + min(l, r)`.
     ///
     /// # Panics
     ///
-    /// Panics if the scan is unsupported for this destination
-    /// (check [`supports_family_scan`](Self::supports_family_scan)).
+    /// As [`family_minima`](Self::family_minima).
     pub fn family_min_values(&mut self, x: &[u8]) -> (i64, i64) {
-        assert!(
-            Self::supports_family_scan(self.d, self.y.len()),
-            "destination too large for the family value scan"
-        );
-        if !self.sams_ready {
-            self.sam.build(self.d as usize, &self.y);
-            self.sam_rev.build(self.d as usize, &self.yr);
-            self.sams_ready = true;
-        }
-        let l = self.sam.min_l_value(x);
-        self.xr.clear();
-        self.xr.extend(x.iter().rev());
-        let r = self.sam_rev.min_l_value(&self.xr);
-        (l, r)
+        let (l, r) = self.family_minima(x);
+        (l.value, r.value)
     }
 }
 
@@ -395,7 +514,7 @@ impl DestinationContext {
 mod tests {
     use super::*;
     use crate::failure::{overlap, overlap_with_scratch};
-    use crate::matching::min_l_term;
+    use crate::matching::{l_table_naive, min_l_term};
 
     fn all_strings(alphabet: u8, len: usize) -> Vec<Vec<u8>> {
         let mut out = vec![Vec::new()];
@@ -412,6 +531,31 @@ mod tests {
                 .collect();
         }
         out
+    }
+
+    fn reversed(s: &[u8]) -> Vec<u8> {
+        s.iter().rev().copied().collect()
+    }
+
+    /// Both minima equal Morris–Pratt's values, and each minimizer is a
+    /// witnessed match: `value = s − t − θ` with `θ = l_{s,t}` exactly.
+    fn check_minima(d: u8, x: &[u8], y: &[u8], got: (MatchTerm, MatchTerm)) {
+        let (xr, yr) = (reversed(x), reversed(y));
+        for (term, xs, ys, family) in [(got.0, x, y, "l"), (got.1, &xr[..], &yr[..], "r")] {
+            let want = min_l_term(xs, ys);
+            assert_eq!(term.value, want.value, "{family}: d={d} x={x:?} y={y:?}");
+            assert_eq!(
+                term.value,
+                term.s as i64 - term.t as i64 - term.theta as i64,
+                "{family} minimizer misses its value: d={d} x={x:?} y={y:?}"
+            );
+            let table = l_table_naive(xs, ys);
+            assert_eq!(
+                term.theta,
+                table[term.s - 1][term.t - 1],
+                "{family} θ not witnessed: d={d} x={x:?} y={y:?} {term:?}"
+            );
+        }
     }
 
     #[test]
@@ -445,61 +589,80 @@ mod tests {
     }
 
     #[test]
-    fn both_family_minima_identical_to_bitmatch() {
+    fn family_minima_are_witnessed_exhaustively_including_rectangular() {
         let mut ctx = DestinationContext::new();
-        let mut scratch = bitmatch::BitScratch::new();
-        for d in [2u8, 3] {
-            let k = if d == 2 { 4 } else { 3 };
-            for y in all_strings(d, k) {
-                ctx.set_destination(d, &y);
-                for x in all_strings(d, k) {
-                    assert_eq!(
-                        ctx.both_family_minima(&x),
-                        bitmatch::both_family_minima(d, &x, &y, &mut scratch),
-                        "d={d} x={x:?} y={y:?}"
-                    );
+        for (d, kmax) in [(2u8, 5usize), (3, 3)] {
+            for ky in 1..=kmax {
+                for y in all_strings(d, ky) {
+                    ctx.set_destination(d, &y);
+                    for kx in 1..=kmax {
+                        for x in all_strings(d, kx) {
+                            let got = ctx.family_minima(&x);
+                            check_minima(d, &x, &y, got);
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn family_values_match_morris_pratt_exhaustively() {
-        let mut ctx = DestinationContext::new();
-        for d in [2u8, 3] {
-            let k = if d == 2 { 5 } else { 3 };
-            for y in all_strings(d, k) {
-                ctx.set_destination(d, &y);
-                let yr: Vec<u8> = y.iter().rev().copied().collect();
-                for x in all_strings(d, k) {
-                    let (l, r) = ctx.family_min_values(&x);
-                    let xr: Vec<u8> = x.iter().rev().copied().collect();
-                    assert_eq!(l, min_l_term(&x, &y).value, "l: d={d} x={x:?} y={y:?}");
-                    assert_eq!(r, min_l_term(&xr, &yr).value, "r: d={d} x={x:?} y={y:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn family_values_match_on_rectangular_and_random_words() {
+    fn family_minima_are_witnessed_on_random_words() {
         let mut ctx = DestinationContext::new();
         let mut state = 0xfeed_f00d_u32;
         let mut next = move |m: u8| {
             state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             ((state >> 16) % m as u32) as u8
         };
-        for d in [2u8, 5, 20] {
+        for d in [2u8, 3, 5, 20] {
             for (kx, ky) in [(1usize, 9usize), (9, 1), (33, 65), (120, 120)] {
-                let x: Vec<u8> = (0..kx).map(|_| next(d)).collect();
                 let y: Vec<u8> = (0..ky).map(|_| next(d)).collect();
                 ctx.set_destination(d, &y);
-                let (l, r) = ctx.family_min_values(&x);
-                let xr: Vec<u8> = x.iter().rev().copied().collect();
-                let yr: Vec<u8> = y.iter().rev().copied().collect();
-                assert_eq!(l, min_l_term(&x, &y).value, "l: d={d} kx={kx} ky={ky}");
-                assert_eq!(r, min_l_term(&xr, &yr).value, "r: d={d} kx={kx} ky={ky}");
+                for _ in 0..3 {
+                    let x: Vec<u8> = (0..kx).map(|_| next(d)).collect();
+                    let got = ctx.family_minima(&x);
+                    check_minima(d, &x, &y, got);
+                }
+                // A source sharing a long block with the destination.
+                let x: Vec<u8> = y.iter().rev().chain(&y).take(kx).copied().collect();
+                let got = ctx.family_minima(&x);
+                check_minima(d, &x, &y, got);
             }
+        }
+    }
+
+    #[test]
+    fn completed_transitions_replay_the_suffix_link_scan_exactly() {
+        // The first source of a destination walks suffix links; later
+        // ones use the completed table. Same states, same match lengths,
+        // so the same minimizers.
+        let mut shared = DestinationContext::new();
+        for d in [2u8, 3] {
+            let k = if d == 2 { 5 } else { 3 };
+            for y in all_strings(d, k) {
+                shared.set_destination(d, &y);
+                for x in all_strings(d, k) {
+                    let mut fresh = DestinationContext::new();
+                    fresh.set_destination(d, &y);
+                    assert_eq!(
+                        shared.family_minima(&x),
+                        fresh.family_minima(&x),
+                        "d={d} x={x:?} y={y:?}"
+                    );
+                }
+                assert!(shared.sam.next_ready, "a shared destination completes");
+            }
+        }
+    }
+
+    #[test]
+    fn values_are_the_minima_values() {
+        let mut ctx = DestinationContext::new();
+        let y = [0u8, 1, 1, 0, 1, 0, 0, 1];
+        ctx.set_destination(2, &y);
+        for x in all_strings(2, 8) {
+            let (l, r) = ctx.family_minima(&x);
+            assert_eq!(ctx.family_min_values(&x), (l.value, r.value));
         }
     }
 
@@ -508,9 +671,21 @@ mod tests {
         let mut ctx = DestinationContext::new();
         let y = [0u8, 1, 1, 0, 1, 0, 0, 1];
         ctx.set_destination(2, &y);
-        let (l, r) = ctx.family_min_values(&y);
-        assert_eq!(l, 1 - 2 * y.len() as i64);
-        assert_eq!(r, 1 - 2 * y.len() as i64);
+        let (l, r) = ctx.family_minima(&y);
+        let k = y.len();
+        assert_eq!(l.value, 1 - 2 * k as i64);
+        assert_eq!(r.value, 1 - 2 * k as i64);
+        assert_eq!((l.s, l.t, l.theta), (1, k, k));
+        assert_eq!((r.s, r.t, r.theta), (1, k, k));
+    }
+
+    #[test]
+    fn disjoint_alphabets_give_the_baseline() {
+        let mut ctx = DestinationContext::new();
+        ctx.set_destination(4, &[1, 1, 1]);
+        let (l, r) = ctx.family_minima(&[0, 0, 0]);
+        assert_eq!((l.value, l.s, l.t, l.theta), (-2, 1, 3, 0));
+        assert_eq!((r.value, r.s, r.t, r.theta), (-2, 1, 3, 0));
     }
 
     #[test]
@@ -518,11 +693,12 @@ mod tests {
         let mut ctx = DestinationContext::new();
         // Alternate between destinations of different lengths and radixes
         // to shake out stale-buffer bugs.
-        let cases: [(u8, &[u8]); 4] = [
+        let cases: [(u8, &[u8]); 5] = [
             (2, &[1, 0, 1, 1, 0]),
             (3, &[2, 0, 1]),
             (2, &[0]),
             (4, &[3, 3, 0, 1, 2, 3, 1]),
+            (2, &[1, 0, 1, 1, 0]),
         ];
         for (d, y) in cases {
             ctx.set_destination(d, y);
@@ -531,11 +707,8 @@ mod tests {
             assert_eq!(ctx.overlap(&x), overlap(&x, y));
             let (l, _) = ctx.family_min_values(y);
             assert_eq!(l, 1 - 2 * y.len() as i64);
-            let (l, r) = ctx.family_min_values(&x);
-            let xr: Vec<u8> = x.iter().rev().copied().collect();
-            let yr: Vec<u8> = y.iter().rev().copied().collect();
-            assert_eq!(l, min_l_term(&x, y).value);
-            assert_eq!(r, min_l_term(&xr, &yr).value);
+            let got = ctx.family_minima(&x);
+            check_minima(d, &x, y, got);
         }
     }
 

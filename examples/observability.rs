@@ -122,11 +122,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    undirected distance (k = 8 resolves Auto to the bit-parallel
     //    engine), and Algorithm 4 built suffix trees for the routes.
     println!(
-        "distance engine solves: {} morris-pratt, {} suffix-tree, {} bit-parallel ({} via Auto)",
+        "distance engine solves: {} morris-pratt, {} suffix-tree, {} bit-parallel, {} sam ({} via Auto)",
         profile_used.engine_morris_pratt,
         profile_used.engine_suffix_tree,
         profile_used.engine_bit_parallel,
-        profile_used.auto_to_bit_parallel + profile_used.auto_to_suffix_tree
+        profile_used.engine_sam,
+        profile_used.auto_to_bit_parallel + profile_used.auto_to_sam + profile_used.auto_to_suffix_tree
     );
 
     // Sanity: the recorded per-message shortest distances really are the

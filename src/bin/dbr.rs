@@ -16,10 +16,15 @@ fn main() -> ExitCode {
         }
     };
     match debruijn_suite::cli::run(&cmd) {
-        Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
+        Ok(output) => match debruijn_suite::cli::write_stdout(&output) {
+            // A reader that stops early (`dbr … | head`) is not an error.
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: writing output: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE

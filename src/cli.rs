@@ -397,6 +397,20 @@ pub enum TraceAction {
     },
 }
 
+/// Writes `text` to stdout in one `write_all` and flushes it. Unlike
+/// `print!`, a closed reader (`dbr … | head`) comes back as an
+/// [`std::io::ErrorKind::BrokenPipe`] error instead of a panic.
+///
+/// # Errors
+///
+/// Any error of the underlying write or flush.
+pub fn write_stdout(text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_all(text.as_bytes())?;
+    stdout.flush()
+}
+
 /// Usage text printed by `dbr help` and on parse errors.
 pub const USAGE: &str = "\
 dbr — de Bruijn network routing toolbox
@@ -451,12 +465,14 @@ Addresses are digit strings (\"0110\") or dot-separated for d > 10
   dbr simulate 2 8 --messages 5000 --trace run.jsonl --progress 50
   dbr trace summary run.jsonl
 
-Engines E for the bidirectional distance: auto (default) | bit-parallel |
-suffix-tree | mp | naive. auto picks the word-parallel bit-parallel
-engine up to k = 512 and the O(k) suffix tree beyond — the measured
-crossover where tree construction overtakes the packed diagonal sweep
-(see docs/PERFORMANCE.md). --batch FILE reads one \"X Y\" pair per line
-(`-` = stdin, `#` comments ok) and prints one result per line;
+Engines E for the bidirectional distance: auto (default) | sam |
+bit-parallel | suffix-tree | mp | naive. auto picks the word-parallel
+bit-parallel sweep below k = 12 and the O(k) suffix automaton (sam)
+from there — the measured crossover where the automaton's build and
+scan overtake the packed diagonal sweep — and the suffix tree only
+past the automaton's table cap (see docs/PERFORMANCE.md). --batch FILE
+reads one \"X Y\" pair per line (`-` = stdin, `#` comments ok) and
+prints one result per line;
 --threads N fans the batch (or the simulator's route precomputation)
 out over N workers (0 = all cores) with results merged in input order,
 byte-identical to --threads 1. --route-cache N bounds the simulator's
@@ -1020,7 +1036,9 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                             );
                             let mut text = String::new();
                             for r in &routes {
-                                writeln!(text, "{} {r}", r.len()).expect("write to string");
+                                write!(text, "{} ", r.len()).expect("write to string");
+                                r.render_into(&mut text);
+                                text.push('\n');
                             }
                             text
                         },
@@ -1225,10 +1243,9 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             let engine = match shards {
                 Some(s) => {
-                    let mut sim = ShardedSimulation::new(space, config, *s)
-                        .map_err(|e| e.to_string())?
-                        .with_next_hop(*next_hop)
-                        .map_err(|e| e.to_string())?;
+                    let mut sim =
+                        ShardedSimulation::new_with_next_hop(space, config, *s, *next_hop)
+                            .map_err(|e| e.to_string())?;
                     if let Some(words) = fault_words {
                         sim = sim.with_faults(words).map_err(|e| e.to_string())?;
                     }
@@ -1352,17 +1369,20 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 writeln!(out, "\n== core profile (this run) ==").expect("write");
                 writeln!(
                     out,
-                    "distance engine solves: {} naive, {} morris-pratt, {} suffix-tree, {} bit-parallel",
+                    "distance engine solves: {} naive, {} morris-pratt, {} suffix-tree, {} bit-parallel, {} sam",
                     profile_used.engine_naive,
                     profile_used.engine_morris_pratt,
                     profile_used.engine_suffix_tree,
-                    profile_used.engine_bit_parallel
+                    profile_used.engine_bit_parallel,
+                    profile_used.engine_sam
                 )
                 .expect("write");
                 writeln!(
                     out,
-                    "auto engine selection:  {} -> suffix-tree, {} -> bit-parallel",
-                    profile_used.auto_to_suffix_tree, profile_used.auto_to_bit_parallel
+                    "auto engine selection:  {} -> suffix-tree, {} -> bit-parallel, {} -> sam",
+                    profile_used.auto_to_suffix_tree,
+                    profile_used.auto_to_bit_parallel,
+                    profile_used.auto_to_sam
                 )
                 .expect("write");
                 match profile_used.route_cache_hit_rate() {
@@ -1467,9 +1487,8 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 // Flush the report now: the scrape server keeps the
                 // process alive until killed, and consumers should not
                 // have to wait for the results.
-                print!("{out}");
+                write_stdout(&out).map_err(|e| format!("writing the report: {e}"))?;
                 out.clear();
-                std::io::Write::flush(&mut std::io::stdout()).map_err(|e| e.to_string())?;
                 server.block();
             }
         }
@@ -1502,9 +1521,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 ttl: *ttl,
                 ..SimConfig::default()
             };
-            let mut sim = ShardedSimulation::new(space, config, *shards)
-                .map_err(|e| e.to_string())?
-                .with_next_hop(*next_hop)
+            let mut sim = ShardedSimulation::new_with_next_hop(space, config, *shards, *next_hop)
                 .map_err(|e| e.to_string())?;
             if let Some(words) = parse_fault_words(*d, faults.as_deref())? {
                 sim = sim.with_faults(words).map_err(|e| e.to_string())?;
@@ -1609,13 +1626,13 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             let service = QueryService::bind_shards(listen.as_str(), shards, Arc::clone(&registry))
                 .map_err(|e| format!("cannot listen on '{listen}': {e}"))?;
             eprintln!("listening on http://{}/metrics", service.local_addr());
-            println!(
+            write_stdout(&format!(
                 "serving radix-{d} route/distance queries on http://{} ({} cache shards, \
-                 cache {cache_capacity}, max-inflight {max_inflight})",
+                 cache {cache_capacity}, max-inflight {max_inflight})\n",
                 service.local_addr(),
                 service.shards().shards(),
-            );
-            std::io::Write::flush(&mut std::io::stdout()).map_err(|e| e.to_string())?;
+            ))
+            .map_err(|e| format!("writing to stdout: {e}"))?;
             let anomaly = service
                 .block()
                 .map_err(|e| format!("writing flight dump: {e}"))?;
@@ -1941,6 +1958,7 @@ fn parse_engine(value: Option<&str>) -> Result<Engine, String> {
         Some("mp") => Ok(Engine::MorrisPratt),
         Some("suffix-tree") => Ok(Engine::SuffixTree),
         Some("bit-parallel") => Ok(Engine::BitParallel),
+        Some("sam") => Ok(Engine::Sam),
         Some(other) => Err(format!("unknown engine '{other}'")),
     }
 }
@@ -2204,7 +2222,7 @@ mod tests {
         };
         let serial = run_with("--threads 1");
         assert_eq!(serial, run_with("--threads 8"), "threaded batch differs");
-        for engine in ["naive", "mp", "suffix-tree", "bit-parallel", "auto"] {
+        for engine in ["naive", "mp", "suffix-tree", "bit-parallel", "sam", "auto"] {
             assert_eq!(serial, run_with(&format!("--engine {engine}")), "{engine}");
         }
         let route_serial =
